@@ -152,7 +152,8 @@ def fast_pruning(
     n = graph.num_nodes
     t = max(1, instance.num_terminals)
     if sigma is None:
-        s = graph.shortest_path_diameter()
+        with maybe_span(getattr(run, "profiler", None), "oracle/spd"):
+            s = graph.shortest_path_diameter()
         sigma = max(1, math.isqrt(min(s * t, n)))
 
     run.set_phase("pruning")

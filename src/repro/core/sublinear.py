@@ -125,7 +125,8 @@ def sublinear_moat_growing(
     profiler = getattr(run, "profiler", None)
     n = graph.num_nodes
     t = max(1, instance.num_terminals)
-    s = graph.shortest_path_diameter()
+    with maybe_span(profiler, "oracle/spd"):
+        s = graph.shortest_path_diameter()
     if sigma is None:
         sigma = max(1, math.isqrt(min(s * t, n)))
 

@@ -75,6 +75,11 @@ def execute_job(job_dict: Mapping[str, Any]) -> Dict[str, Any]:
     # compare backends end-to-end (same clock placement as
     # benchmarks/bench_e18_profile.py).
     started = time.perf_counter()
+    if profiler is not None:
+        # Same window as wall_time: whatever no phase or span claims
+        # (ledger build, oracle work before the first phase) is
+        # reported as (unattributed) instead of being dropped.
+        profiler.start()
     if algorithm.accepts_run:
         ledger = make_ledger_run(job.backend, instance.graph)
         if profiler is not None:

@@ -42,7 +42,6 @@ def _dreyfus_wagner(
     terminals = sorted(set(terminals), key=repr)
     if len(terminals) <= 1:
         return 0, frozenset()
-    apd = graph.all_pairs_distances()
     nodes = graph.nodes
     t = len(terminals)
     full = (1 << t) - 1
@@ -54,8 +53,9 @@ def _dreyfus_wagner(
 
     for i, term in enumerate(terminals):
         mask = 1 << i
+        row = graph.distances_from(term)
         for v in nodes:
-            dp[mask][v] = apd[term][v]
+            dp[mask][v] = row[v]
             if reconstruct:
                 choice[(mask, v)] = ("path", term)
 

@@ -97,7 +97,8 @@ class WeightedGraph:
     Nodes may be arbitrary hashable, mutually comparable values; the test
     suite and generators use integers, matching the paper's O(log n)-bit
     identifiers. The structure is immutable after construction, which lets
-    expensive metrics (``D``, ``WD``, ``s``, all-pairs distances) be cached.
+    the metrics ``D``, ``WD``, ``s`` and per-source distance rows be
+    cached.
     """
 
     def __init__(
@@ -123,8 +124,9 @@ class WeightedGraph:
         self._nodes: Tuple[Node, ...] = tuple(
             sorted(self._adj, key=repr)
         )
-        self._apd_cache: Optional[Dict[Node, Dict[Node, int]]] = None
-        self._hops_cache: Dict[Node, Dict[Node, int]] = {}
+        self._rank: Optional[Dict[Node, int]] = None
+        self._rank_adj: List[Tuple[Tuple[int, int], ...]] = []
+        self._rows: Dict[Node, Dict[Node, int]] = {}
         self._metric_cache: Dict[str, int] = {}
         if validate:
             self.validate()
@@ -269,6 +271,78 @@ class WeightedGraph:
     # Shortest paths (deterministic tie-breaking)
     # ------------------------------------------------------------------
 
+    def _ranked(self) -> Tuple[Dict[Node, int], List[Tuple[Tuple[int, int], ...]]]:
+        """Each node's position in :attr:`nodes`, and the adjacency as
+        (neighbor rank, weight) runs indexed by rank (built on first use).
+
+        ``nodes`` is sorted by ``repr``, so comparing ranks is comparing
+        ``repr`` strings — the deterministic order every tie-break in
+        this module uses — at the cost of an integer comparison. Each
+        run keeps the internal mapping's order, so a search over ranks
+        discovers nodes in the same order as one over node keys.
+        """
+        if self._rank is None:
+            rank = {v: i for i, v in enumerate(self._nodes)}
+            self._rank_adj = [
+                tuple((rank[v], w) for v, w in self._adj[u].items())
+                for u in self._nodes
+            ]
+            self._rank = rank
+        return self._rank, self._rank_adj
+
+    def _sssp(
+        self, source: Node, stop: int = -1
+    ) -> Tuple[List[int], List[int], List[int], List[int]]:
+        """The one single-source pass behind every oracle query.
+
+        Dijkstra over the lexicographic key (distance, hops, predecessor
+        rank), entirely in rank space. Returns rank-indexed lists
+        (order, dist, hops, parent): ``order`` holds the reached ranks
+        in discovery order; ``dist[r]`` is wd(source, ·) (-1 when
+        unreached); ``hops[r]`` the minimum hop count among least-weight
+        paths (with positive weights, (dist, hops) is itself a positive
+        path length); ``parent[r]`` the smallest-rank predecessor
+        achieving both (-1 at the source). Heap entries are
+        (dist, hops, rank), so pops among equal keys follow the ``repr``
+        order too. The search ends early once rank ``stop`` is settled:
+        its path back to the source is final by then.
+        """
+        rank, adj = self._ranked()
+        n = len(self._nodes)
+        first = rank[source]
+        dist = [-1] * n
+        hops = [0] * n
+        parent = [-1] * n
+        done = [False] * n
+        dist[first] = 0
+        order = [first]
+        heap: List[Tuple[int, int, int]] = [(0, 0, first)]
+        pop, push = heapq.heappop, heapq.heappush
+        while heap:
+            d, h, r = pop(heap)
+            if done[r]:
+                continue
+            if r == stop:
+                break
+            done[r] = True
+            h += 1
+            for v, w in adj[r]:
+                nd = d + w
+                old = dist[v]
+                if old < 0:
+                    order.append(v)
+                # A settled v never passes: its key is below (d, h - 1).
+                elif nd > old or (
+                    nd == old
+                    and (h > hops[v] or (h == hops[v] and r >= parent[v]))
+                ):
+                    continue
+                dist[v] = nd
+                hops[v] = h
+                parent[v] = r
+                push(heap, (nd, h, v))
+        return order, dist, hops, parent
+
     def dijkstra(
         self, source: Node
     ) -> Tuple[Dict[Node, int], Dict[Node, Optional[Node]]]:
@@ -278,48 +352,41 @@ class WeightedGraph:
         lexicographically smallest predecessor. Returns (distances, parents);
         ``parents[source] is None``.
         """
-        dist: Dict[Node, int] = {source: 0}
-        hops: Dict[Node, int] = {source: 0}
-        parent: Dict[Node, Optional[Node]] = {source: None}
-        # Heap entries: (dist, hops, repr(node), node) — repr gives a total
-        # order over mixed node types while staying deterministic for ints.
-        heap: List[Tuple[int, int, str, Node]] = [(0, 0, repr(source), source)]
-        done: Set[Node] = set()
-        while heap:
-            d, h, _, u = heapq.heappop(heap)
-            if u in done:
-                continue
-            done.add(u)
-            for v, w in self._adj[u].items():
-                cand = (d + w, h + 1, repr(u))
-                best = (
-                    dist.get(v),
-                    hops.get(v),
-                    repr(parent.get(v)),
-                )
-                if v not in dist or cand < best:
-                    dist[v] = d + w
-                    hops[v] = h + 1
-                    parent[v] = u
-                    heapq.heappush(heap, (d + w, h + 1, repr(v), v))
-        return dist, parent
+        order, dist, _, parent = self._sssp(source)
+        nodes = self._nodes
+        return (
+            {nodes[r]: dist[r] for r in order},
+            {
+                nodes[r]: nodes[parent[r]] if parent[r] >= 0 else None
+                for r in order
+            },
+        )
+
+    def distances_from(self, source: Node) -> Dict[Node, int]:
+        """The distance row wd(source, ·) (cached per source).
+
+        The row is shared with later callers; do not mutate it.
+        """
+        row = self._rows.get(source)
+        if row is None:
+            row = self._rows[source] = self.dijkstra(source)[0]
+        return row
 
     def distance(self, u: Node, v: Node) -> int:
         """Weighted distance wd(u, v)."""
-        return self.all_pairs_distances()[u][v]
+        return self.distances_from(u)[v]
 
     def shortest_path(self, u: Node, v: Node) -> List[Node]:
         """A deterministic least-weight path from ``u`` to ``v`` (node list)."""
-        _, parent = self.dijkstra(u)
-        if v not in parent:
+        rank, _ = self._ranked()
+        goal = rank.get(v, -1)
+        _, dist, _, parent = self._sssp(u, stop=goal)
+        if goal < 0 or dist[goal] < 0:
             raise GraphValidationError(f"{v!r} unreachable from {u!r}")
-        path = [v]
-        while path[-1] != u:
-            nxt = parent[path[-1]]
-            assert nxt is not None
-            path.append(nxt)
-        path.reverse()
-        return path
+        path = [goal]
+        while parent[path[-1]] >= 0:
+            path.append(parent[path[-1]])
+        return [self._nodes[r] for r in reversed(path)]
 
     @staticmethod
     def path_edges(path: Sequence[Node]) -> List[Edge]:
@@ -331,39 +398,18 @@ class WeightedGraph:
         return sum(self._adj[a][b] for a, b in zip(path, path[1:]))
 
     def all_pairs_distances(self) -> Dict[Node, Dict[Node, int]]:
-        """All-pairs weighted distances (cached)."""
-        if self._apd_cache is None:
-            self._apd_cache = {
-                v: self.dijkstra(v)[0] for v in self._nodes
-            }
-        return self._apd_cache
+        """All-pairs weighted distances: every :meth:`distances_from` row."""
+        return {v: self.distances_from(v) for v in self._nodes}
 
     def min_hop_shortest_path_hops(self, source: Node) -> Dict[Node, int]:
         """For each node, the min hop count among least-weight paths from
-        ``source`` (cached per source).
+        ``source`` (not cached).
 
         This is the inner quantity of the shortest-path diameter ``s``.
         """
-        if source in self._hops_cache:
-            return self._hops_cache[source]
-        dist, _ = self.dijkstra(source)
-        # DP over the shortest-path DAG in order of increasing distance.
-        hops: Dict[Node, int] = {source: 0}
-        for v in sorted(
-            self._nodes, key=lambda x: (dist[x], repr(x))
-        ):
-            if v == source:
-                continue
-            best = None
-            for u, w in self._adj[v].items():
-                if dist[u] + w == dist[v] and u in hops:
-                    cand = hops[u] + 1
-                    if best is None or cand < best:
-                        best = cand
-            assert best is not None, "shortest-path DAG must be connected"
-            hops[v] = best
-        self._hops_cache[source] = hops
-        return hops
+        order, _, hops, _ = self._sssp(source)
+        nodes = self._nodes
+        return {nodes[r]: hops[r] for r in order}
 
     # ------------------------------------------------------------------
     # Paper metrics
@@ -402,11 +448,11 @@ class WeightedGraph:
     def shortest_path_diameter(self) -> int:
         """s — max over pairs of min hops among least-weight paths (cached)."""
         if "s" not in self._metric_cache:
-            best = 0
-            for source in self._nodes:
-                hops = self.min_hop_shortest_path_hops(source)
-                best = max(best, max(hops.values()))
-            self._metric_cache["s"] = best
+            # n single-source passes, each reduced to one integer at
+            # once: no hop or distance row outlives its pass.
+            self._metric_cache["s"] = max(
+                max(self._sssp(source)[2]) for source in self._nodes
+            )
         return self._metric_cache["s"]
 
     # ------------------------------------------------------------------

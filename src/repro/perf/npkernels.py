@@ -535,10 +535,13 @@ def bellman_ford_numpy(
     if denom != d0_denom:
         factor = denom // d0_denom
         d0_values = [d * factor for d in d0_values]
-    # Worst-case reachable distance: any source offset plus n-1 hops.
+    # Worst-case candidate: a stored distance is a source offset plus
+    # at most n-1 hops (the first walk that reached the node; later
+    # ones only improve it), and a candidate adds one more edge — e.g.
+    # an announcement back to the predecessor — so bound by n hops.
     max_w = int(w_scaled.max()) if w_scaled.size else 0
     max_d0 = max((abs(d) for d in d0_values), default=0)
-    if max_d0 + max(0, n - 1) * max(0, max_w) >= INT64_LIMIT:
+    if max_d0 + n * max(0, max_w) >= INT64_LIMIT:
         return None
     assert_int64_bounds(w_scaled, "bellman_ford weights")
 

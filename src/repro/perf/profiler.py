@@ -98,6 +98,18 @@ class PhaseProfiler:
 
     # -- wiring ----------------------------------------------------------
 
+    def start(self) -> None:
+        """Start the clock now (idempotent while it runs).
+
+        Time until the first phase or span lands in the
+        ``(unattributed)`` frame, so work a solver does before it
+        narrates — e.g. an oracle query — cannot drop out of the
+        totals. Without a call, the clock starts at the first phase or
+        span.
+        """
+        if self._last is None:
+            self._last = self._clock()
+
     def attach(self, run: Any) -> Any:
         """Hook this profiler into a :class:`~repro.congest.run.CongestRun`.
 

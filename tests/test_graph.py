@@ -1,14 +1,20 @@
 """Unit tests for WeightedGraph: construction, metrics, paths, balls."""
 
+import heapq
+import random
 from fractions import Fraction
 
 import networkx as nx
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.core.moat import moat_growing
+from repro.core.rounded import rounded_moat_growing
+from repro.engine.registry import GRAPH_FAMILIES
 from repro.exceptions import GraphValidationError
 from repro.model import WeightedGraph
 from repro.model.graph import canonical_edge
+from repro.workloads import place_terminals
 
 
 class TestConstruction:
@@ -152,6 +158,142 @@ class TestMetrics:
         assert (
             grid44.shortest_path_diameter() == grid44.unweighted_diameter()
         )
+
+
+# ---------------------------------------------------------------------
+# Frozen oracle: the repr-keyed Dijkstra and the min-hop DP over the
+# shortest-path DAG that the rank-keyed single-source pass replaced.
+# ---------------------------------------------------------------------
+
+
+def _frozen_dijkstra(graph, source):
+    dist = {source: 0}
+    hops = {source: 0}
+    parent = {source: None}
+    heap = [(0, 0, repr(source), source)]
+    done = set()
+    while heap:
+        d, h, _, u = heapq.heappop(heap)
+        if u in done:
+            continue
+        done.add(u)
+        for v, w in graph.adjacency(u).items():
+            cand = (d + w, h + 1, repr(u))
+            best = (dist.get(v), hops.get(v), repr(parent.get(v)))
+            if v not in dist or cand < best:
+                dist[v] = d + w
+                hops[v] = h + 1
+                parent[v] = u
+                heapq.heappush(heap, (d + w, h + 1, repr(v), v))
+    return dist, parent
+
+
+def _frozen_min_hops(graph, source):
+    dist, _ = _frozen_dijkstra(graph, source)
+    hops = {source: 0}
+    for v in sorted(graph.nodes, key=lambda x: (dist[x], repr(x))):
+        if v == source:
+            continue
+        hops[v] = min(
+            hops[u] + 1
+            for u in graph.neighbors(v)
+            if u in hops and dist[u] + graph.weight(u, v) == dist[v]
+        )
+    return hops
+
+
+def _frozen_hop_diameter(graph):
+    best = 0
+    for source in graph.nodes:
+        level = {source: 0}
+        frontier = [source]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for v in graph.neighbors(u):
+                    if v not in level:
+                        level[v] = level[u] + 1
+                        nxt.append(v)
+            frontier = nxt
+        best = max(best, max(level.values()))
+    return best
+
+
+def _oracle_graphs():
+    for family in sorted(GRAPH_FAMILIES):
+        for seed in range(3):
+            graph = GRAPH_FAMILIES[family].build(random.Random(seed))
+            yield pytest.param(graph, id=f"{family}-{seed}")
+    # Mixed-type ids with unit weights: every tie is decided by the
+    # repr order of the predecessor, across types.
+    mixed = [0, 1, 2, "a", "b", (0, 1), (1, 0), 10]
+    edges = [
+        (0, "a", 1), (0, 1, 1), (1, "b", 1), ("a", "b", 1),
+        ("b", (0, 1), 1), ("a", (1, 0), 1), ((0, 1), 10, 1),
+        ((1, 0), 10, 1), (10, 2, 1), (1, 2, 3),
+    ]
+    yield pytest.param(WeightedGraph(mixed, edges), id="mixed-ids")
+
+
+class TestOracleEquivalence:
+    """The rank-keyed pass reproduces the frozen repr-keyed oracle."""
+
+    @pytest.mark.parametrize("graph", _oracle_graphs())
+    def test_rows_parents_hops_and_metrics_match(self, graph):
+        s = 0
+        for source in graph.nodes:
+            dist, parent = _frozen_dijkstra(graph, source)
+            new_dist, new_parent = graph.dijkstra(source)
+            # Insertion order too: row consumers may iterate the dict.
+            assert list(new_dist.items()) == list(dist.items())
+            assert list(new_parent.items()) == list(parent.items())
+            assert graph.distances_from(source) == dist
+            for target in graph.nodes:
+                path = [target]
+                while path[-1] != source:
+                    path.append(parent[path[-1]])
+                assert graph.shortest_path(source, target) == path[::-1]
+            hops = _frozen_min_hops(graph, source)
+            assert graph.min_hop_shortest_path_hops(source) == hops
+            s = max(s, max(hops.values()))
+        assert graph.shortest_path_diameter() == s
+        assert graph.unweighted_diameter() == _frozen_hop_diameter(graph)
+        assert graph.weighted_diameter() == max(
+            max(_frozen_dijkstra(graph, v)[0].values()) for v in graph.nodes
+        )
+
+    def test_all_pairs_is_the_row_cache(self, grid33):
+        row = grid33.distances_from(4)
+        apd = grid33.all_pairs_distances()
+        assert apd[4] is row
+        assert grid33.distance(4, 0) == row[0] == 2
+
+
+class TestTerminalRootedMoats:
+    """Algorithms 1 and 2 read t terminal rows, never the full table."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        calls = {"dijkstra": 0, "all_pairs_distances": 0}
+        for name in calls:
+            original = getattr(WeightedGraph, name)
+
+            def wrapper(self, *args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(WeightedGraph, name, wrapper)
+        return calls
+
+    @pytest.mark.parametrize("solver", [moat_growing, rounded_moat_growing])
+    def test_gnp_256_reads_terminal_rows_only(self, counted, solver):
+        rng = random.Random(256)
+        graph = GRAPH_FAMILIES["gnp"].build(rng, n=256, p=0.05)
+        instance = place_terminals("uniform", graph, 4, 4, rng)
+        result = solver(instance)
+        merges = sum(1 for e in result.events if e.v is not None)
+        assert counted["all_pairs_distances"] == 0
+        assert counted["dijkstra"] <= instance.num_terminals + merges
 
 
 class TestBalls:

@@ -16,7 +16,7 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from repro.congest.bellman_ford import bellman_ford  # noqa: E402
 from repro.congest.bfs import build_bfs_tree  # noqa: E402
@@ -127,6 +127,20 @@ class TestPrimitiveEquality:
         st.sampled_from([None, 1, 3]),
         st.booleans(),
         st.integers(0, 10 ** 6),
+    )
+    # Two near-bound edges on a path, source at one end (seed 1 picks
+    # n00): in round 3, n02 announces back to n01 a three-edge walk of
+    # about 3 * 2^61, so the pre-check must cover n hops, not n - 1.
+    @example(
+        graph=WeightedGraph(
+            ["n00", "n01", "n02"],
+            [("n00", "n01", 2 ** 61 - 1), ("n01", "n02", 2 ** 61 - 1)],
+            validate=False,
+        ),
+        num_sources=1,
+        max_iterations=None,
+        use_blocked=False,
+        seed=1,
     )
     @settings(max_examples=30, deadline=None)
     def test_bellman_ford_matches_reference(

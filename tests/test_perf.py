@@ -28,6 +28,7 @@ from repro.congest.simulator import FloodMaxLeaderElection, Simulator
 from repro.core.distributed import distributed_moat_growing
 from repro.core.moat import moat_growing
 from repro.core.sublinear import sublinear_moat_growing
+from repro.engine.algorithms import ALGORITHMS
 from repro.engine.jobs import Job
 from repro.engine.registry import GRAPH_FAMILIES
 from repro.engine.runner import execute_job
@@ -272,6 +273,26 @@ class TestProfilingIsFree:
         for metric in ("weight", "rounds", "messages", "n", "m", "t"):
             if metric in plain["metrics"]:
                 assert plain["metrics"][metric] == profiled["metrics"][metric]
+
+    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+    def test_profile_accounts_for_the_whole_job(self, algorithm):
+        # Work no phase or span claims (the ledger build, sublinear's
+        # shortest-path diameter before its first phase) must land in
+        # (unattributed) or a span, not drop out of the totals.
+        record = execute_job({
+            "scenario": "perf-test",
+            "family": "gnp",
+            "family_params": {"n": 128, "p": 0.06},
+            "k": 3,
+            "component_size": 2,
+            "algorithm": algorithm,
+            "seed_index": 0,
+            "profile": True,
+        })
+        profiled = record["profile"]["totals"]["wall_time"]
+        assert profiled == pytest.approx(
+            record["metrics"]["wall_time"], rel=0.05
+        )
 
 
 class TestLedgerFastPathConformance:

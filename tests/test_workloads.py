@@ -1,5 +1,6 @@
 """Tests for the workload generators."""
 
+import hashlib
 import random
 
 import networkx as nx
@@ -244,6 +245,18 @@ def _instance_fingerprint(inst):
     return repr((_graph_fingerprint(inst.graph), labels, components))
 
 
+#: sha256 prefixes of _instance_fingerprint for :func:`_placed`.
+_PLACED_DIGESTS = {
+    "clustered": "bb5393eb7881ba3b",
+    "far_pairs": "091ed3ca23dac3e5",
+    "hub_spoke": "078d2065449a506e",
+}
+
+
+def _placed(placement, rng):
+    return place_terminals(placement, powerlaw_graph(24, 2, rng), 4, 3, rng)
+
+
 class TestSeededReproducibility:
     """Same seed ⇒ byte-identical output, for every graph family."""
 
@@ -297,13 +310,31 @@ class TestSeededReproducibility:
             lambda rng: terminals_on_graph(
                 ring_of_blobs(3, 4, rng), 3, 2, rng
             ),
+            *(
+                lambda rng, placement=placement: _placed(placement, rng)
+                for placement in _PLACED_DIGESTS
+            ),
         ],
-        ids=["random", "random-compose-fallback", "grid", "ring"],
+        ids=[
+            "random", "random-compose-fallback", "grid", "ring",
+            *_PLACED_DIGESTS,
+        ],
     )
     def test_instances_reproducible(self, build):
         a = build(random.Random(1234))
         b = build(random.Random(1234))
         assert _instance_fingerprint(a) == _instance_fingerprint(b)
+
+    @pytest.mark.parametrize("placement", sorted(_PLACED_DIGESTS))
+    def test_distance_placements_pinned(self, placement):
+        # The distance-driven placements read single-source rows; the
+        # digests were taken when they read the all-pairs table, so the
+        # instances must not have moved.
+        inst = _placed(placement, random.Random(1234))
+        digest = hashlib.sha256(
+            _instance_fingerprint(inst).encode()
+        ).hexdigest()[:16]
+        assert digest == _PLACED_DIGESTS[placement]
 
     def test_different_seeds_differ(self):
         a = random_connected_graph(15, 0.3, random.Random(1))
