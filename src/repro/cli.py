@@ -71,7 +71,7 @@ from repro.lowerbounds import (
 )
 from repro.netmodel import NETWORK_MODELS, normalize_network
 from repro.perf import render_profile_report
-from repro.simbackend import BACKENDS, normalize_backend
+from repro.simbackend import BACKENDS, validate_backend
 from repro.workloads import TERMINAL_PLACEMENTS, random_instance
 
 DEFAULT_STORE = "results/experiments.jsonl"
@@ -124,19 +124,22 @@ def parse_network_arg(text: str) -> Dict[str, Any]:
 
 
 def parse_backend_arg(text: str) -> Dict[str, Any]:
-    """Parse a ``--backend`` value into a canonical backend spec.
+    """Parse a ``--backend`` value into a validated backend spec.
 
-    Accepts an engine name (``flatarray``), a name with ``key=value``
-    parameters (``sharded:num_shards=4``), or a full JSON spec object.
+    Accepts a ledger tier name (``flatarray``), a name with
+    ``key=value`` parameters (``auto:threshold=4``), or a full JSON spec
+    object.
     """
     text = text.strip()
     if text.startswith("{"):
         # The canonical normalizer rejects misplaced keys, so a
         # parameter nested one level too shallow errors instead of
-        # silently running the engine with defaults.
-        return normalize_backend(json.loads(text))
+        # silently running the tier with defaults.
+        return validate_backend(json.loads(text))
     name, _, raw_params = text.partition(":")
-    return {"name": name.strip(), "params": _parse_spec_params(raw_params, "backend")}
+    return validate_backend(
+        {"name": name.strip(), "params": _parse_spec_params(raw_params, "backend")}
+    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -252,8 +255,8 @@ def _build_parser() -> argparse.ArgumentParser:
     trace_summary.add_argument(
         "--backend",
         default="reference",
-        metavar="ENGINE",
-        help="ledger engine for the instrumented run (default: reference)",
+        metavar="TIER",
+        help="ledger tier for the instrumented run (default: reference)",
     )
     _add_trace_workload_options(trace_summary)
 
@@ -264,12 +267,12 @@ def _build_parser() -> argparse.ArgumentParser:
     trace_diff.add_argument(
         "a",
         metavar="A",
-        help="telemetry JSONL path, or a ledger engine name to run",
+        help="telemetry JSONL path, or a ledger tier name to run",
     )
     trace_diff.add_argument(
         "b",
         metavar="B",
-        help="telemetry JSONL path, or a ledger engine name to run",
+        help="telemetry JSONL path, or a ledger tier name to run",
     )
     _add_trace_workload_options(trace_diff)
 
@@ -314,7 +317,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help="committed benchmark JSON to gate (repeatable; default: "
-        "BENCH_profile.json and BENCH_backends.json where present)",
+        "BENCH_{profile,serve,observe,store,numpy}.json where present)",
     )
     bench_check.add_argument(
         "--max-n",
@@ -584,8 +587,8 @@ def _build_parser() -> argparse.ArgumentParser:
     report.add_argument(
         "--backend",
         default=None,
-        metavar="ENGINE",
-        help="restrict to one simulation backend "
+        metavar="TIER",
+        help="restrict to one stored backend name "
         f"({', '.join(sorted(BACKENDS))})",
     )
     report.add_argument(
@@ -644,8 +647,8 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
         action="append",
         default=None,
         metavar="SPEC",
-        help="override the simulation-backend axis (repeatable): an "
-        f"engine name ({', '.join(sorted(BACKENDS))}), "
+        help="override the backend (ledger tier) axis (repeatable): a "
+        f"tier name ({', '.join(sorted(BACKENDS))}), "
         "NAME:key=value,..., or a JSON spec object",
     )
     verbosity = parser.add_mutually_exclusive_group()
@@ -991,7 +994,7 @@ def _instrumented_trace(args, backend: str) -> List[Dict[str, Any]]:
             "p": args.p,
             "seed": args.seed,
         },
-        backend=normalize_backend(backend),
+        backend=validate_backend(backend),
     )
     with Telemetry(manifest=manifest, sinks=[sink]) as telemetry:
         run = make_ledger_run(backend, instance.graph)
@@ -1040,7 +1043,7 @@ def _cmd_trace(args) -> int:
                 events_a = read_events(args.a)
                 events_b = read_events(args.b)
             else:
-                # Not two stream files: treat A/B as ledger engines and
+                # Not two stream files: treat A/B as ledger tiers and
                 # run the same workload on each (the conformance view).
                 events_a = _instrumented_trace(args, args.a)
                 events_b = _instrumented_trace(args, args.b)
@@ -1089,7 +1092,6 @@ def _cmd_bench(args) -> int:
             name
             for name in (
                 "BENCH_profile.json",
-                "BENCH_backends.json",
                 "BENCH_serve.json",
                 "BENCH_observe.json",
                 "BENCH_store.json",

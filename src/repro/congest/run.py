@@ -135,11 +135,12 @@ class CongestRun:
 
         One message per entry; each entry must already be a canonical
         edge of the graph with at most one occurrence per direction this
-        round (the caller — e.g. the flat-array simulation backend —
-        guarantees this structurally, so re-validating per message would
-        only re-pay the cost :meth:`tick` exists to amortize). Keeps the
-        charging rules (message count + per-edge counters) owned by the
-        ledger, with the same end state as ``tick(traffic)``.
+        round (the caller — e.g. the compiled broadcast and pipeline
+        branches — guarantees this structurally, so re-validating per
+        message would only re-pay the cost :meth:`tick` exists to
+        amortize). Keeps the charging rules (message count + per-edge
+        counters) owned by the ledger, with the same end state as
+        ``tick(traffic)``.
         """
         count = 0
         for edge in canonical_edges:

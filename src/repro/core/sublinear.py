@@ -15,7 +15,7 @@ phases by O(log n / ε)):
   collected by the pipelined filtered upcast in O(D + σ) rounds;
 * Step 3g–3i — activity recomputation in O(D + k + σ) rounds.
 
-Fidelity note (cf. DESIGN.md): this module drives the merge *semantics*
+Fidelity note (cf. docs/paper-map.md): this module drives the merge *semantics*
 from an exact Algorithm 2 run (:func:`repro.core.rounded.
 rounded_moat_growing` — Lemma F.4 shows the distributed schedule selects
 exactly that merge set, merely reordering within growth phases) and

@@ -14,7 +14,7 @@ from typing import Any, Callable, Dict, Iterable, List, Mapping, NamedTuple, Tup
 from repro.engine.algorithms import ALGORITHMS
 from repro.model.graph import WeightedGraph
 from repro.netmodel import NETWORK_MODELS, build_network_model, normalize_network
-from repro.simbackend import BACKENDS, build_backend, normalize_backend
+from repro.simbackend import validate_backend
 from repro.workloads import (
     TERMINAL_PLACEMENTS,
     broom_graph,
@@ -198,24 +198,13 @@ def normalize_backends(backend: Any) -> Tuple[Dict[str, Any], ...]:
     """Normalize a spec's backend axis to a tuple of canonical spec dicts.
 
     Accepts one backend shorthand or a list/tuple of them (the sweep
-    axis); validates engine names against the simbackend registry so bad
-    specs fail at construction time, not mid-sweep.
+    axis); validates tier names and parameters so bad specs fail at
+    construction time, not mid-sweep.
     """
     entries = backend if isinstance(backend, (list, tuple)) else [backend]
     if not entries:
         entries = [None]
-    specs = [normalize_backend(entry) for entry in entries]
-    unknown = [s["name"] for s in specs if s["name"] not in BACKENDS]
-    if unknown:
-        raise ValueError(
-            f"unknown simulation backends {unknown}; "
-            f"choose from {sorted(BACKENDS)}"
-        )
-    for spec in specs:
-        # Instantiate once so bad parameters surface here (ValueError),
-        # not as a crashed worker halfway through a sweep.
-        build_backend(spec)
-    return tuple(specs)
+    return tuple(validate_backend(entry) for entry in entries)
 
 
 @dataclass(frozen=True)

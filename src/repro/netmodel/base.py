@@ -174,9 +174,14 @@ def normalize_network(network: NetworkLike) -> Dict[str, Any]:
                 f"unexpected network spec keys {sorted(unknown)}; "
                 'expected {"model": name, "params": {...}}'
             )
+        params = network.get("params", {})
+        if not isinstance(params, Mapping):
+            raise ValueError(
+                f"network params must be an object, not {params!r}"
+            )
         return {
             "model": str(network.get("model", DEFAULT_NETWORK["model"])),
-            "params": dict(network.get("params", {})),
+            "params": dict(params),
         }
     raise TypeError(f"cannot interpret network spec {network!r}")
 

@@ -1,8 +1,7 @@
-"""The ledger-level fast path: the flatarray engine for the paper pipeline.
+"""The ledger-level fast path: the flatarray tier for the paper pipeline.
 
-PR 3's flat-array backend made *message-level* NodeProgram executions
-fast; the paper's actual Steiner-forest pipeline (moat growing, pruning,
-the sublinear composition) is **ledger-level** — the solvers drive the
+The paper's Steiner-forest pipeline (moat growing, pruning, the
+sublinear composition) is **ledger-level** — the solvers drive the
 communication primitives (:mod:`repro.congest.bfs`,
 :mod:`repro.congest.bellman_ford`, :mod:`repro.congest.broadcast`,
 :mod:`repro.congest.pipeline`) directly against a
@@ -29,7 +28,7 @@ This module compiles all of that away once per execution:
   integer-light branches that produce the **identical** execution —
   same rounds, messages, per-edge traffic, phases, and solver output.
 
-Like the message-level engines, the fast path is conformance-pinned:
+The fast path is conformance-pinned:
 ``tests/test_perf.py`` runs the distributed and sublinear solvers under
 both ledgers across the graph-family matrix and asserts equality field
 by field. The ``reference`` path (a plain ``CongestRun``) stays the
@@ -50,7 +49,7 @@ from repro.simbackend import (
     AUTO_THRESHOLD_NODES,
     NUMPY_THRESHOLD_NODES,
     choose_engine_name,
-    normalize_backend,
+    validate_backend,
 )
 
 
@@ -219,32 +218,24 @@ def make_ledger_run(
 ) -> CongestRun:
     """Build the ledger a solver should charge, per backend spec.
 
-    The ledger-level counterpart of :func:`repro.simbackend.
-    build_backend`, used by the experiment runner and the CLI to thread
-    the ``--backend`` axis into the paper's solvers:
+    The experiment runner and the CLI thread the ``--backend`` axis into
+    the paper's solvers through this function:
 
-    * ``reference`` (and ``sharded``, which has no ledger-level analogue
-      — its win is multiprocess NodeProgram dispatch) → a plain
-      :class:`CongestRun`;
+    * ``reference`` → a plain :class:`CongestRun`;
     * ``flatarray`` → a :class:`FastCongestRun`;
     * ``numpy`` → a :class:`repro.perf.npkernels.NumpyCongestRun` (only
-      reachable when the optional numpy extra registered the tier —
-      otherwise the shared validation rejects the name);
-    * ``auto`` → the size heuristic shared with
-      :class:`~repro.simbackend.AutoBackend` (``threshold`` and
-      ``numpy_threshold`` params honored), so ``backend="auto"`` picks
-      consistently across message-level and ledger-level executions.
+      valid when the optional numpy extra is installed — otherwise the
+      shared validation rejects the name);
+    * ``auto`` → the size heuristic
+      :func:`~repro.simbackend.choose_engine_name` (``threshold`` and
+      ``numpy_threshold`` params honored).
 
     Raises:
         ValueError: on unknown backend names or parameters — validated
-            through the same :func:`~repro.simbackend.build_backend`
-            path as the simulator facade, so one ``--backend`` spec is
-            either valid at both levels or rejected at both.
+            by :func:`~repro.simbackend.validate_backend`, the same check
+            scenario specs and the CLI apply.
     """
-    from repro.simbackend import build_backend
-
-    spec = normalize_backend(backend)
-    build_backend(spec)  # uniform name/parameter validation
+    spec = validate_backend(backend)
     name = spec["name"]
     if name == "auto":
         threshold = int(spec["params"].get("threshold", AUTO_THRESHOLD_NODES))
@@ -254,7 +245,7 @@ def make_ledger_run(
         name = choose_engine_name(graph.num_nodes, threshold, numpy_threshold)
     if name == "numpy":
         # Import deferred (and guaranteed to succeed): the spec passed
-        # validation, so the numpy tier is registered ⇒ numpy imports.
+        # validation, so the numpy tier is listed ⇒ numpy imports.
         from repro.perf.npkernels import NumpyCongestRun
 
         try:

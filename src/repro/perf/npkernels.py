@@ -35,8 +35,8 @@ the exact python branch instead of losing precision. Conformance is
 exact, never approximate.
 
 This module imports numpy at module scope **on purpose**: when numpy is
-absent the import fails cleanly and the registries simply never grow a
-``numpy`` tier (see :mod:`repro.simbackend` and
+absent the import fails cleanly and the backend table simply never lists
+a ``numpy`` tier (see :mod:`repro.simbackend` and
 :func:`repro.perf.make_ledger_run`), keeping the reference path
 dependency-free.
 """

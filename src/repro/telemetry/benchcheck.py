@@ -2,8 +2,7 @@
 
 Re-runs a pinned subset of the committed benchmark trajectory —
 ``BENCH_profile.json`` (the distributed Steiner-forest pipeline per
-ledger engine), ``BENCH_backends.json`` (FloodMax per simulation
-backend), ``BENCH_serve.json`` (daemon load), ``BENCH_observe.json``
+ledger tier), ``BENCH_serve.json`` (daemon load), ``BENCH_observe.json``
 (observability overhead), ``BENCH_store.json`` (indexed vs full-scan
 store lookup), and ``BENCH_numpy.json`` (the regular-primitives
 pipeline per ledger tier) — and compares against the committed entries:
@@ -156,23 +155,6 @@ def _measure_pipeline(workload: Dict[str, Any], n: int, backend: str) -> Dict[st
     }
 
 
-def _measure_floodmax(workload: Dict[str, Any], n: int, backend: str) -> Dict[str, Any]:
-    """One BENCH_backends-style entry, re-measured (same construction as
-    ``benchmarks/bench_e16_backends.py``)."""
-    from repro.congest.simulator import FloodMaxLeaderElection, Simulator
-    from repro.workloads import random_connected_graph
-
-    graph = random_connected_graph(
-        n, float(workload.get("p", 0.35)), random.Random(n)
-    )
-    programs = {v: FloodMaxLeaderElection() for v in graph.nodes}
-    started = time.perf_counter()
-    sim = Simulator(graph, programs, backend=backend)
-    rounds = sim.run_to_completion()
-    elapsed = time.perf_counter() - started
-    return {"seconds": elapsed, "rounds": rounds, "messages": sim.run.messages}
-
-
 def _measure_serve(workload: Dict[str, Any], n: int, backend: str) -> Dict[str, Any]:
     """One BENCH_serve-style entry, re-measured (same load generation as
     ``benchmarks/bench_e19_serve.py``): ``backend`` is the config label
@@ -266,7 +248,6 @@ def _measure_primitives(workload: Dict[str, Any], n: int, backend: str) -> Dict[
 #: Per-bench re-measurement drivers, keyed by the JSON's ``experiment``.
 _DRIVERS = {
     "e18-profile": _measure_pipeline,
-    "e16-backends": _measure_floodmax,
     "e19-serve": _measure_serve,
     "e20-observe": _measure_observe,
     "e21-store": _measure_store,

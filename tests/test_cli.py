@@ -177,12 +177,14 @@ class TestNetworkOptions:
         }
 
     def test_invalid_network_errors(self, capsys):
-        code = main(
-            ["sweep", "--scenario", "grid-rounds", "--no-store",
-             "--network", "lossy:oops"]
-        )
-        assert code == 2
-        assert "invalid --network" in capsys.readouterr().err
+        # A non-object ``params`` is a spec error, not a crash.
+        for text in ("lossy:oops", '{"model": "lossy", "params": null}'):
+            code = main(
+                ["sweep", "--scenario", "grid-rounds", "--no-store",
+                 "--serial", "--network", text]
+            )
+            assert code == 2
+            assert "invalid --network" in capsys.readouterr().err
 
     def test_report_network_filter(self, tmp_path, capsys):
         store = str(tmp_path / "results.jsonl")
@@ -202,22 +204,22 @@ class TestBackendOptions:
         }
 
     def test_parse_key_values(self):
-        spec = parse_backend_arg("sharded:num_shards=4")
-        assert spec == {"name": "sharded", "params": {"num_shards": 4}}
+        spec = parse_backend_arg("auto:threshold=4")
+        assert spec == {"name": "auto", "params": {"threshold": 4}}
 
     def test_parse_json_object(self):
-        text = '{"name": "sharded", "params": {"num_shards": 2}}'
-        assert parse_backend_arg(text)["params"] == {"num_shards": 2}
+        text = '{"name": "auto", "params": {"numpy_threshold": 2}}'
+        assert parse_backend_arg(text)["params"] == {"numpy_threshold": 2}
 
     def test_parse_rejects_bare_parameter(self):
         with pytest.raises(ValueError, match="key=value"):
-            parse_backend_arg("sharded:4")
+            parse_backend_arg("auto:4")
 
     def test_parse_rejects_misplaced_json_keys(self):
         # Parameters nested one level too shallow must error, not
         # silently run the engine with defaults.
         with pytest.raises(ValueError, match="unexpected backend spec keys"):
-            parse_backend_arg('{"name": "sharded", "num_shards": 8}')
+            parse_backend_arg('{"name": "auto", "threshold": 8}')
         with pytest.raises(ValueError, match="unexpected network spec keys"):
             parse_network_arg('{"model": "lossy", "drop_p": 0.5}')
 
@@ -239,12 +241,18 @@ class TestBackendOptions:
         }
 
     def test_invalid_backend_errors(self, capsys):
-        code = main(
-            ["sweep", "--scenario", "grid-rounds", "--no-store",
-             "--backend", "sharded:oops"]
-        )
-        assert code == 2
-        assert "invalid --backend" in capsys.readouterr().err
+        # A non-object ``params`` is a spec error, not a crash.
+        for text in (
+            "auto:oops",
+            '{"name": "auto", "params": null}',
+            '{"name": "auto", "params": [1]}',
+        ):
+            code = main(
+                ["sweep", "--scenario", "grid-rounds", "--no-store",
+                 "--serial", "--backend", text]
+            )
+            assert code == 2
+            assert "invalid --backend" in capsys.readouterr().err
 
     def test_unknown_backend_errors(self, capsys):
         code = main(
@@ -261,7 +269,7 @@ class TestBackendOptions:
         capsys.readouterr()
         assert main(["report", "--store", store, "--backend", "flatarray"]) == 0
         assert "flatarray" in capsys.readouterr().out
-        assert main(["report", "--store", store, "--backend", "sharded"]) == 0
+        assert main(["report", "--store", store, "--backend", "auto"]) == 0
         assert "no records" in capsys.readouterr().out
 
     def test_sweep_emits_progress_to_stderr(self, tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Tests for the experiment engine (registry, jobs, runner, store)."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +23,7 @@ from repro.engine import (
     run_suite,
 )
 from repro.engine.jobs import Job
+from repro.simbackend import numpy_tier_available
 
 
 def tiny_spec(**overrides):
@@ -428,7 +431,7 @@ class TestBackendAxis:
     BACKENDS = [
         "reference",
         "flatarray",
-        {"name": "sharded", "params": {"num_shards": 2}},
+        {"name": "auto", "params": {"threshold": 4, "numpy_threshold": 8}},
     ]
 
     def test_default_backend_keeps_v2_identity(self):
@@ -448,7 +451,7 @@ class TestBackendAxis:
         keys = {job.key for job in jobs}
         assert len(keys) == len(jobs)
         assert {job.backend["name"] for job in jobs} == {
-            "reference", "flatarray", "sharded",
+            "reference", "flatarray", "auto",
         }
 
     def test_algorithm_seed_is_backend_independent(self):
@@ -460,7 +463,7 @@ class TestBackendAxis:
         spec = tiny_spec(backend=self.BACKENDS)
         clone = ScenarioSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
         assert clone == spec
-        assert clone.backend_names == ("reference", "flatarray", "sharded")
+        assert clone.backend_names == ("reference", "flatarray", "auto")
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown simulation backends"):
@@ -468,7 +471,131 @@ class TestBackendAxis:
 
     def test_bad_backend_params_rejected_at_construction(self):
         with pytest.raises(ValueError, match="bad parameters"):
-            tiny_spec(backend={"name": "sharded", "params": {"shardz": 2}})
+            tiny_spec(backend={"name": "auto", "params": {"thresold": 2}})
+        with pytest.raises(ValueError, match="bad parameters"):
+            tiny_spec(backend={"name": "auto", "params": {"threshold": "x"}})
+
+    #: Cache keys of one fixed job per backend spec, as stored rows
+    #: carry them: a change here would strand every cached row of that
+    #: tier.
+    PINNED_KEYS = {
+        "reference": "f3251c216dc3dba161815816cd7bb5076116d3a107dad795ee97e7316cd58dc7",
+        "flatarray": "da8d8ac23cb39c7f677cf94a424d103a9836c3b870b2778777a0fce2961feb74",
+        "numpy": "e4a7a1873258e9c2cd9748339f06be57a7e50762800e8218d59658cace90a59e",
+        "auto": "d274015ce4c3e1831ba8de3984022b175b9429d081cde8f0d8349e5f5b705889",
+        "auto:threshold=4": "c7321dd12e1cbdb836405c40f8c105566720a03d03d62bdf7fdd74aa3a8914d3",
+    }
+
+    @pytest.mark.parametrize("label", sorted(PINNED_KEYS))
+    def test_job_keys_pinned_per_tier(self, label):
+        name, _, param = label.partition(":")
+        params = {"threshold": int(param.split("=")[1])} if param else {}
+        job = Job(
+            scenario="pinned",
+            family="gnp",
+            family_params={"n": 8, "p": 0.4},
+            k=2,
+            component_size=2,
+            algorithm="distributed",
+            backend={"name": name, "params": params},
+        )
+        assert job.key == self.PINNED_KEYS[label]
+
+    #: (key, rounds, digest of the metrics without wall_time) per
+    #: pipeline × tier × network, taken before the message-level engines
+    #: were collapsed into the Simulator.
+    PINNED_RECORDS = json.loads(
+        (Path(__file__).parent / "fixtures" / "pinned_executions.json")
+        .read_text()
+    )["jobs"]
+    PINNED_NETWORKS = {
+        "reliable": {"model": "reliable", "params": {}},
+        "delay": {"model": "delay", "params": {"max_delay": 3}},
+        "lossy": {
+            "model": "lossy", "params": {"drop_p": 0.2, "retransmit": 2},
+        },
+        "crash": {
+            "model": "crash", "params": {"victims": [0, 1], "at_round": 2},
+        },
+        "bandwidth": {"model": "bandwidth", "params": {"cap_bits": 16}},
+    }
+
+    @pytest.mark.parametrize("network", sorted(PINNED_NETWORKS))
+    @pytest.mark.parametrize(
+        "label",
+        [
+            pytest.param(
+                label,
+                marks=pytest.mark.skipif(
+                    label == "numpy" and not numpy_tier_available(),
+                    reason="optional numpy extra not installed",
+                ),
+            )
+            for label in sorted(PINNED_KEYS)
+        ],
+    )
+    @pytest.mark.parametrize("algorithm", ["distributed", "sublinear"])
+    def test_job_records_pinned(self, algorithm, label, network):
+        name, _, param = label.partition(":")
+        params = {"threshold": int(param.split("=")[1])} if param else {}
+        job = Job(
+            scenario="pinned",
+            family="gnp",
+            family_params={"n": 8, "p": 0.4},
+            k=2,
+            component_size=2,
+            algorithm=algorithm,
+            backend={"name": name, "params": params},
+            network=self.PINNED_NETWORKS[network],
+        )
+        record = execute_job(job.to_dict())
+        metrics = dict(record["metrics"])
+        del metrics["wall_time"]
+        text = json.dumps(metrics, sort_keys=True, default=repr)
+        key, rounds, digest = self.PINNED_RECORDS[
+            f"{algorithm}-{label}-{network}"
+        ]
+        assert record["key"] == job.key == key
+        assert metrics["rounds"] == rounds
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_retired_sharded_rows_still_load(self, tmp_path, capsys):
+        from repro.cli import main
+
+        spec = {"name": "sharded", "params": {"num_shards": 2}}
+        row = {
+            "schema": 5,
+            "key": "sharded-row",
+            "scenario": "legacy",
+            "family": "gnp",
+            "family_params": {"n": 8, "p": 0.4},
+            "k": 2,
+            "component_size": 2,
+            "algorithm": "distributed",
+            "algo_params": {},
+            "placement": "uniform",
+            "seed_index": 0,
+            "exact": False,
+            "network": {"model": "reliable", "params": {}},
+            "network_model": "reliable",
+            "backend": spec,
+            "backend_name": "sharded",
+            "metrics": {"n": 8, "rounds": 10, "messages": 40, "weight": 5},
+        }
+        path = tmp_path / "v5.jsonl"
+        path.write_text(json.dumps(row) + "\n")
+        store = ResultStore(path)
+        (loaded,) = store.records()
+        assert loaded["backend"] == spec
+        assert [r["key"] for r in store.select(backend="sharded")] == [
+            "sharded-row"
+        ]
+        assert main(["report", "--store", str(path), "--backend", "sharded"]) == 0
+        assert "legacy" in capsys.readouterr().out
+        # New specs naming the retired engine are rejected, not aliased
+        # onto the reference cache key.
+        with pytest.raises(ValueError, match="unknown simulation backends"):
+            tiny_spec(backend="sharded")
 
     def test_sweep_crosses_backends_with_distinct_cached_rows(self, tmp_path):
         spec = tiny_spec(

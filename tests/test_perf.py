@@ -1,5 +1,5 @@
 """The perf subsystem: profiler exactness, zero-effect, fast-path
-conformance, and the auto backend.
+conformance, and the auto tier.
 
 Three contracts are pinned here:
 
@@ -13,18 +13,19 @@ Three contracts are pinned here:
 3. **Ledger fast-path conformance** — the distributed and sublinear
    pipelines under a :class:`FastCongestRun` (and under ``auto``)
    reproduce the reference execution field by field across the graph
-   family matrix, mirroring the message-level backend conformance
-   suite.
+   family matrix.
 """
 
+import hashlib
+import json
 import random
+from pathlib import Path
 
 import pytest
 
 from repro.congest.bfs import build_bfs_tree
 from repro.congest.broadcast import broadcast_items, upcast_items
 from repro.congest.run import CongestRun
-from repro.congest.simulator import FloodMaxLeaderElection, Simulator
 from repro.core.distributed import distributed_moat_growing
 from repro.core.moat import moat_growing
 from repro.core.sublinear import sublinear_moat_growing
@@ -46,7 +47,6 @@ from repro.perf import (
 from repro.simbackend import (
     AUTO_THRESHOLD_NODES,
     NUMPY_THRESHOLD_NODES,
-    AutoBackend,
     choose_engine_name,
     numpy_tier_available,
 )
@@ -67,8 +67,9 @@ FAMILY_PARAMS = {
 
 
 def _instance(family):
+    # Families not in FAMILY_PARAMS build with their defaults.
     graph = GRAPH_FAMILIES[family].build(
-        random.Random(0xE18), **FAMILY_PARAMS[family]
+        random.Random(0xE18), **FAMILY_PARAMS.get(family, {})
     )
     terminals = {
         graph.nodes[0]: "a",
@@ -419,6 +420,50 @@ class TestLedgerFastPathConformance:
             FastCongestRun(graph_a, compiled=CompiledTopology(graph_b))
 
 
+#: Ledger fingerprints of the distributed and sublinear pipelines on
+#: every registered family, taken before the message-level engines were
+#: collapsed into the Simulator. A moved pin is a behaviour change.
+LEDGER_PINS = json.loads(
+    (Path(__file__).parent / "fixtures" / "pinned_executions.json").read_text()
+)["ledger"]
+
+#: Every ledger tier; ``auto`` is forced to its flat-array choice.
+LEDGER_TIERS = {
+    "reference": "reference",
+    "flatarray": "flatarray",
+    "auto": {"name": "auto", "params": {"threshold": 1}},
+    "numpy": "numpy",
+}
+
+PIPELINES = {
+    "distributed": distributed_moat_growing,
+    "sublinear": sublinear_moat_growing,
+}
+
+
+@pytest.mark.parametrize("family", sorted(GRAPH_FAMILIES))
+@pytest.mark.parametrize("pipeline", sorted(PIPELINES))
+@pytest.mark.parametrize(
+    "tier",
+    [
+        "reference",
+        "flatarray",
+        "auto",
+        pytest.param("numpy", marks=requires_numpy),
+    ],
+)
+def test_ledger_tier_matches_pin(tier, pipeline, family):
+    """Every tier reproduces the pinned rounds, messages, per-edge
+    traffic, phase rounds and forest on every registered family."""
+    instance = _instance(family)
+    run = make_ledger_run(LEDGER_TIERS[tier], instance.graph)
+    result = PIPELINES[pipeline](instance, run=run)
+    text = json.dumps(_ledger_fingerprint(result), sort_keys=True, default=repr)
+    rounds, messages, digest = LEDGER_PINS[f"{pipeline}-{family}"]
+    assert (result.rounds, result.run.messages) == (rounds, messages)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def _path_graph(num_nodes):
     """A cheap connected graph at exactly ``num_nodes`` nodes."""
     return WeightedGraph(
@@ -454,7 +499,7 @@ def _ledger_type(engine_name):
     return FastCongestRun
 
 
-class TestAutoBackend:
+class TestAutoTier:
     def test_threshold_constants_are_ordered(self):
         assert 1 < AUTO_THRESHOLD_NODES < NUMPY_THRESHOLD_NODES
         assert TIER_BOUNDARY_CASES[0][0] == AUTO_THRESHOLD_NODES - 1
@@ -491,18 +536,20 @@ class TestAutoBackend:
         ) is FastCongestRun
         assert type(make_ledger_run("flatarray", small)) is FastCongestRun
         assert type(make_ledger_run("reference", small)) is CongestRun
-        assert type(make_ledger_run("sharded", small)) is CongestRun
         with pytest.raises(ValueError):
             make_ledger_run("warpdrive", small)
-        # Bad engine parameters are rejected exactly like the simulator
-        # facade rejects them — one --backend spec, one validation path.
+        # The retired sharded engine is rejected, not aliased.
+        with pytest.raises(ValueError, match="unknown simulation backends"):
+            make_ledger_run("sharded", small)
+        # Bad tier parameters are rejected exactly like scenario specs
+        # reject them — one --backend spec, one validation path.
         with pytest.raises(ValueError):
             make_ledger_run(
                 {"name": "flatarray", "params": {"typo": 1}}, small
             )
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="bad parameters"):
             make_ledger_run(
-                {"name": "sharded", "params": {"num_shards": 0}}, small
+                {"name": "auto", "params": {"threshold": None}}, small
             )
 
     @requires_numpy
@@ -523,50 +570,3 @@ class TestAutoBackend:
             "params": {"threshold": 64, "numpy_threshold": 1},
         }
         assert type(make_ledger_run(tiny_spec, small)) is CongestRun
-
-    def test_simulator_delegation_picks_by_size(self):
-        graph = random_instance(8, 2, random.Random(2)).graph
-        programs = {v: FloodMaxLeaderElection() for v in graph.nodes}
-        small_sim = Simulator(graph, programs, backend="auto")
-        assert small_sim.backend.name == "auto"
-        assert small_sim.backend.engine.name == "reference"
-        forced = Simulator(
-            graph,
-            {v: FloodMaxLeaderElection() for v in graph.nodes},
-            backend=AutoBackend(threshold=1),
-        )
-        assert forced.backend.engine.name == "flatarray"
-        assert forced.run_to_completion() > 0
-        assert all(
-            p.leader == max(graph.nodes) for p in forced.programs.values()
-        )
-
-    @requires_numpy
-    def test_simulator_delegation_picks_numpy_tier(self):
-        graph = random_instance(8, 2, random.Random(2)).graph
-        forced = Simulator(
-            graph,
-            {v: FloodMaxLeaderElection() for v in graph.nodes},
-            backend=AutoBackend(threshold=1, numpy_threshold=1),
-        )
-        assert forced.backend.engine.name == "numpy"
-        assert forced.run_to_completion() > 0
-        assert all(
-            p.leader == max(graph.nodes) for p in forced.programs.values()
-        )
-
-    def test_spec_round_trip_and_params(self):
-        assert AutoBackend().spec() == {"name": "auto", "params": {}}
-        assert AutoBackend(threshold=7).spec() == {
-            "name": "auto",
-            "params": {"threshold": 7},
-        }
-        assert AutoBackend(numpy_threshold=9).spec() == {
-            "name": "auto",
-            "params": {"numpy_threshold": 9},
-        }
-        assert AUTO_THRESHOLD_NODES > 1
-
-    def test_unbound_engine_raises(self):
-        with pytest.raises(RuntimeError):
-            AutoBackend().engine
