@@ -19,6 +19,7 @@ from typing import (
     Callable,
     Dict,
     Hashable,
+    List,
     Mapping,
     Optional,
     Set,
@@ -64,6 +65,38 @@ class BellmanFordResult:
         )
 
 
+class ReducedWeights:
+    """The reduced edge weights Ŵ_j of one merge phase (Definition 4.5).
+
+    ``Ŵ_j(e) = max(0, W(e) − Σ_{x ∈ e} min(W(e), l(x)))`` where ``l(x)``
+    is the leftover of a node covered by a moat (absent or 0 for
+    uncovered nodes). The leftovers are fixed within a phase, so each
+    edge's value is computed once and serves both directions.
+    """
+
+    __slots__ = ("graph", "leftover", "_memo")
+
+    def __init__(
+        self, graph: WeightedGraph, leftover: Mapping[Node, Fraction]
+    ) -> None:
+        self.graph = graph
+        self.leftover = leftover
+        self._memo: Dict[Tuple[Node, Node], Fraction] = {}
+
+    def __call__(self, x: Node, y: Node) -> Fraction:
+        value = self._memo.get((x, y))
+        if value is None:
+            w = Fraction(self.graph.weight(x, y))
+            cov = Fraction(0)
+            for endpoint in (x, y):
+                lo = self.leftover.get(endpoint)
+                if lo is not None and lo > 0:
+                    cov += min(w, lo)
+            value = max(Fraction(0), w - cov)
+            self._memo[(x, y)] = self._memo[(y, x)] = value
+        return value
+
+
 def bellman_ford(
     graph: WeightedGraph,
     sources: Mapping[Node, Tuple[Number, Tag]],
@@ -75,42 +108,52 @@ def bellman_ford(
     """Run synchronous multi-source Bellman–Ford, charging real rounds.
 
     Args:
-        graph: the network.
+        graph: the network, or a spanning subgraph of it whose edges the
+            announcements follow (the F-subgraph of Corollary G.11).
         sources: node → (initial distance, tag). Tags identify regions;
             ties between equal distances are broken by (repr(tag), repr
             (parent)) so the decomposition is deterministic, mirroring the
             paper's lexicographic tie-breaking.
         run: ledger to charge rounds/messages against.
         edge_weight: override for the relaxation weight of an edge (used
-            with the *reduced* weights Ŵ_j of Definition 4.5); defaults to
-            the graph weight. Must be non-negative; may return Fractions.
+            with the *reduced* weights Ŵ_j of Definition 4.5, see
+            :class:`ReducedWeights`); defaults to the graph weight. Must
+            be non-negative; may return Fractions.
         blocked: nodes that neither adopt nor forward distances (frozen
             inactive regions; Lemma 4.8 leaves their trees untouched).
         max_iterations: stop (possibly unstabilized) after this many rounds
             — the footnote-2 "run for √n iterations" device.
 
-    Returns a :class:`BellmanFordResult`.
-
-    A :class:`~repro.perf.FastCongestRun` engages the compiled fast
-    branch (cached neighbor tuples, memoized ``repr`` keys, batched
-    ledger charging); a :class:`~repro.perf.npkernels.NumpyCongestRun`
-    additionally runs the relaxation itself as scaled-int64 array
-    kernels when the workload scales exactly, falling back to the
-    compiled branch otherwise. Distances, tags, parents, iterations,
-    and the ledger end state are identical on every branch
-    (tests/test_perf.py, tests/test_npkernels.py).
+    Returns a :class:`BellmanFordResult`. The relaxation is the ledger's
+    :meth:`~repro.congest.run.CongestRun.bellman_ford` kernel, whose
+    default is :func:`relax`.
     """
-    blocked = blocked or frozenset()
-    if getattr(run, "npc", None) is not None:
-        from repro.perf.npkernels import bellman_ford_numpy
+    return run.bellman_ford(
+        graph, sources, edge_weight, blocked or frozenset(), max_iterations
+    )
 
-        result = bellman_ford_numpy(
-            graph, sources, run, edge_weight, blocked, max_iterations
-        )
-        if result is not None:
-            return result
+
+def relax(
+    run: CongestRun,
+    graph: WeightedGraph,
+    sources: Mapping[Node, Tuple[Number, Tag]],
+    edge_weight: Optional[Callable[[Node, Node], Number]],
+    blocked: AbstractSet[Node],
+    max_iterations: Optional[int],
+) -> BellmanFordResult:
+    """The relaxation body of :func:`bellman_ford`."""
     if edge_weight is None:
         edge_weight = graph.weight
+    # Nodes announce over ``graph``'s edges. On the ledger's own network
+    # the ledger reads and charges them; a subgraph's announcements are
+    # charged as explicit traffic.
+    if graph is run.graph:
+        neighbors, announce = run.neighbors, run.tick_from
+    else:
+        neighbors = graph.neighbors
+
+        def announce(senders: List[Node]) -> None:
+            run.tick({(u, v): 1 for u in senders for v in neighbors(u)})
 
     dist: Dict[Node, Number] = {}
     tag: Dict[Node, Tag] = {}
@@ -125,7 +168,6 @@ def bellman_ford(
     # (Lemma 4.8: "the old trees are not touched, but simply extended").
     immutable = frozenset(sources)
 
-    compiled = getattr(run, "compiled", None)
     changed: Set[Node] = set(sources)
     iterations = 0
     while changed:
@@ -133,53 +175,29 @@ def bellman_ford(
             return BellmanFordResult(dist, tag, parent, iterations, False)
         iterations += 1
         updates: Dict[Node, Tuple[Number, str, str, Tag, Node]] = {}
-        if compiled is not None:
-            reprs = compiled.repr_of
-            tag_repr = compiled.tag_repr
-            neighbors = compiled.neighbors
-            announcers = sorted(changed, key=reprs.__getitem__)
-            for u in announcers:
-                du = dist[u]
-                tu = tag[u]
-                tu_repr = tag_repr(tu)
-                u_repr = reprs[u]
-                for v in neighbors[u]:
-                    if v in blocked or v in immutable:
-                        continue
-                    cand_dist = du + edge_weight(u, v)
-                    current = updates.get(v)
-                    if current is None or (cand_dist, tu_repr, u_repr) < current[:3]:
-                        updates[v] = (cand_dist, tu_repr, u_repr, tu, u)
-            run.tick()
-            out_counter = compiled.out_counter
-            degree = compiled.degree
-            for u in announcers:
-                run.charge_counter(out_counter[u], degree[u])
-        else:
-            traffic: Dict[Tuple[Node, Node], int] = {}
-            for u in sorted(changed, key=repr):
-                for v in graph.neighbors(u):
-                    traffic[(u, v)] = 1
-                    if v in blocked or v in immutable:
-                        continue
-                    w = edge_weight(u, v)
-                    cand_dist = dist[u] + w
-                    cand_key = (cand_dist, repr(tag[u]), repr(u), tag[u], u)
-                    current = updates.get(v)
-                    if current is None or cand_key[:3] < current[:3]:
-                        updates[v] = cand_key
-            run.tick(traffic)
+        announcers = sorted(changed, key=run.key)
+        for u in announcers:
+            du = dist[u]
+            tu = tag[u]
+            tu_key = repr(tu)
+            u_key = run.key(u)
+            for v in neighbors(u):
+                if v in blocked or v in immutable:
+                    continue
+                cand_dist = du + edge_weight(u, v)
+                current = updates.get(v)
+                if current is None or (cand_dist, tu_key, u_key) < current[:3]:
+                    updates[v] = (cand_dist, tu_key, u_key, tu, u)
+        announce(announcers)
         changed = set()
-        cur_tag_repr = compiled.tag_repr if compiled is not None else repr
-        for v, (cand_dist, new_tag_repr, _, new_tag, new_parent) in (
+        for v, (cand_dist, new_tag_key, _, new_tag, new_parent) in (
             updates.items()
         ):
             if v in dist:
                 # Strictly smaller (dist, tag) only — comparing the parent
                 # as well would let equal-distance updates flip parents
                 # forever across zero-weight (fully covered) edges.
-                cur_key = (dist[v], cur_tag_repr(tag[v]))
-                if (cand_dist, new_tag_repr) >= cur_key:
+                if (cand_dist, new_tag_key) >= (dist[v], repr(tag[v])):
                     continue
             dist[v] = cand_dist
             tag[v] = new_tag

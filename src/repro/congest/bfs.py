@@ -11,7 +11,7 @@ the tree the first round it hears an announcement, picking the smallest-
 identifier announcer as its parent. It completes in D + O(1) rounds.
 """
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.congest.run import CongestRun
 from repro.model.graph import Node, WeightedGraph
@@ -74,64 +74,39 @@ def build_bfs_tree(
 
     Round-by-round: every node that joined the tree in the previous round
     sends a "join me" message to all neighbors; an unjoined node picks the
-    smallest-identifier sender as its parent. Two extra quiet rounds model
-    local termination detection at the frontier.
+    smallest-identifier sender as its parent. The last flooding round
+    (the final frontier finds nobody new) models local termination
+    detection at the frontier.
 
-    A :class:`~repro.perf.FastCongestRun` engages the compiled fast
-    branch (cached neighbor tuples and ``repr`` keys, batched ledger
-    charging); a :class:`~repro.perf.npkernels.NumpyCongestRun` runs the
-    whole flood as array kernels (integer ranks reproduce the ``repr``
-    tie-breaking). The execution — parents, depths, rounds, per-edge
-    traffic — is identical either way (pinned in tests/test_perf.py and
-    tests/test_npkernels.py).
+    ``graph`` must be the ledger's network. The flood itself is the
+    ledger's :meth:`~repro.congest.run.CongestRun.bfs_tree` kernel, whose
+    default is :func:`flood`.
     """
     if root is None:
         root = default_root(graph)
-    if getattr(run, "npc", None) is not None:
-        from repro.perf.npkernels import build_bfs_tree_numpy
+    return run.bfs_tree(root)
 
-        return build_bfs_tree_numpy(run, root)
+
+def flood(run: CongestRun, root: Node) -> BFSTree:
+    """The flooding body of :func:`build_bfs_tree` on ``run``'s network."""
+    key = run.key
     parent: Dict[Node, Optional[Node]] = {root: None}
     depth_of: Dict[Node, int] = {root: 0}
     frontier: List[Node] = [root]
     depth = 0
-    compiled = getattr(run, "compiled", None)
-    if compiled is not None:
-        reprs = compiled.repr_of
-        neighbors = compiled.neighbors
-        out_counter = compiled.out_counter
-        degree = compiled.degree
-        while frontier:
-            depth += 1
-            proposals: Dict[Node, List[Node]] = {}
-            for u in frontier:
-                for v in neighbors[u]:
-                    if v not in parent:
-                        proposals.setdefault(v, []).append(u)
-            run.tick()
-            for u in frontier:
-                run.charge_counter(out_counter[u], degree[u])
-            frontier = []
-            for v, candidates in sorted(
-                proposals.items(), key=lambda kv: reprs[kv[0]]
-            ):
-                parent[v] = min(candidates, key=reprs.__getitem__)
-                depth_of[v] = depth
-                frontier.append(v)
-        return BFSTree(root, parent, depth_of)
     while frontier:
         depth += 1
-        traffic: Dict[Tuple[Node, Node], int] = {}
-        proposals = {}
+        proposals: Dict[Node, List[Node]] = {}
         for u in frontier:
-            for v in graph.neighbors(u):
-                traffic[(u, v)] = 1
+            for v in run.neighbors(u):
                 if v not in parent:
                     proposals.setdefault(v, []).append(u)
-        run.tick(traffic)
+        run.tick_from(frontier)
         frontier = []
-        for v, candidates in sorted(proposals.items(), key=lambda kv: repr(kv[0])):
-            parent[v] = min(candidates, key=repr)
+        for v, candidates in sorted(
+            proposals.items(), key=lambda kv: key(kv[0])
+        ):
+            parent[v] = min(candidates, key=key)
             depth_of[v] = depth
             frontier.append(v)
     return BFSTree(root, parent, depth_of)

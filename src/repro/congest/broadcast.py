@@ -7,7 +7,6 @@ round). All three primitives simulate the communication round-by-round and
 charge the enclosing :class:`~repro.congest.run.CongestRun`.
 """
 
-from bisect import insort
 from collections import deque
 from typing import Callable, Dict, Hashable, Iterable, List, Optional, Set, Tuple, TypeVar
 
@@ -29,18 +28,21 @@ def broadcast_items(
     and every internal node forwards one item per round to each child (the
     same item to all children — one message per edge, respecting CONGEST).
 
-    Returns the broadcast items as a list (what every node now knows).
+    Returns the broadcast items as a list (what every node now knows). The
+    pipeline is the ledger's :meth:`~repro.congest.run.CongestRun.broadcast`
+    kernel, whose default is :func:`pipelined_broadcast`.
     """
     items = list(items)
     if not items or tree.depth == 0:
         # Nothing to send or a single-node tree: knowledge is already local.
         return items
-    if getattr(run, "npc", None) is not None:
-        from repro.perf.npkernels import broadcast_items_numpy
+    return run.broadcast(tree, items)
 
-        return broadcast_items_numpy(tree, items, run)
-    compiled = getattr(run, "compiled", None)
-    canon = compiled.canon if compiled is not None else None
+
+def pipelined_broadcast(
+    run: CongestRun, tree: BFSTree, items: List[Item]
+) -> List[Item]:
+    """The round-by-round body of :func:`broadcast_items`."""
     top_down = tree.nodes_top_down()
     queue: Dict[Node, deque] = {v: deque() for v in tree.parent}
     queue[tree.root].extend(items)
@@ -57,11 +59,7 @@ def broadcast_items(
                 queue[v].popleft()  # leaf consumes the item locally
         if not traffic and not any(queue[v] for v in queue):
             break
-        if canon is not None:
-            run.tick()
-            run.charge_messages(canon[pair] for pair in traffic)
-        else:
-            run.tick(traffic)
+        run.tick(traffic)
         for child, item in deliveries:
             queue[child].append(item)
     return items
@@ -77,17 +75,20 @@ def convergecast_aggregate(
 
     ``combine`` must be associative and commutative, and the combined value
     must still fit in one message (e.g. min, max, sum of O(log n)-bit
-    numbers). Returns the aggregate of all values.
-
-    A :class:`~repro.perf.npkernels.NumpyCongestRun` replaces the
-    per-round bottom-up re-sort with a precomputed subtree-height
-    schedule; the combine order, rounds, and ledger end state are
-    identical (tests/test_npkernels.py).
+    numbers). Returns the aggregate of all values. The aggregation is the
+    ledger's :meth:`~repro.congest.run.CongestRun.convergecast` kernel,
+    whose default is :func:`tree_convergecast`.
     """
-    if getattr(run, "npc", None) is not None:
-        from repro.perf.npkernels import convergecast_aggregate_numpy
+    return run.convergecast(tree, values, combine)
 
-        return convergecast_aggregate_numpy(tree, values, combine, run)
+
+def tree_convergecast(
+    run: CongestRun,
+    tree: BFSTree,
+    values: Dict[Node, Item],
+    combine: Callable[[Item, Item], Item],
+) -> Item:
+    """The round-by-round body of :func:`convergecast_aggregate`."""
     acc: Dict[Node, Item] = dict(values)
     waiting: Dict[Node, int] = {
         v: len(tree.children[v]) for v in tree.parent
@@ -128,19 +129,23 @@ def upcast_items(
     With ``m`` distinct items the collection finishes in O(depth + m) rounds
     — the pipelining argument of Lemma 4.14 / the MST filtering of [11, 16].
 
-    Returns the distinct items known to the root, in sorted order.
-
-    A :class:`~repro.perf.FastCongestRun` engages the compiled fast
-    branch: buffers are kept sorted incrementally (``insort`` on
-    arrival, with ``repr`` computed once per item) instead of re-sorted
-    every round, and ledger charges use precompiled canonical edges.
-    The forwarded items, their order, and the ledger end state are
-    identical either way (tests/test_perf.py).
+    Returns the distinct items known to the root, in sorted order. The
+    collection is the ledger's :meth:`~repro.congest.run.CongestRun.upcast`
+    kernel, whose default is :func:`pipelined_upcast`.
     """
     if key is None:
         key = lambda item: item  # noqa: E731 - identity key
-    if getattr(run, "compiled", None) is not None:
-        return _upcast_items_fast(tree, local_items, run, key)
+    return run.upcast(tree, local_items, key)
+
+
+def pipelined_upcast(
+    run: CongestRun,
+    tree: BFSTree,
+    local_items: Dict[Node, Iterable[Item]],
+    key: Callable[[Item], Hashable],
+) -> List[Item]:
+    """The round-by-round body of :func:`upcast_items`: each node
+    forwards the smallest (by ``repr``) item it has not forwarded yet."""
     buffers: Dict[Node, List[Item]] = {v: [] for v in tree.parent}
     seen: Dict[Node, Set[Hashable]] = {v: set() for v in tree.parent}
     forwarded: Dict[Node, Set[Hashable]] = {v: set() for v in tree.parent}
@@ -177,64 +182,3 @@ def upcast_items(
                 seen[parent].add(k)
                 buffers[parent].append(item)
     return sorted(buffers[tree.root], key=repr)
-
-
-def _upcast_items_fast(
-    tree: BFSTree,
-    local_items: Dict[Node, Iterable[Item]],
-    run: CongestRun,
-    key: Callable[[Item], Hashable],
-) -> List[Item]:
-    """The compiled-ledger branch of :func:`upcast_items`.
-
-    Buffer entries are ``(repr(item), sequence, item)`` triples kept
-    sorted by ``insort``: the sequence number (global insertion order)
-    breaks ``repr`` ties exactly like the reference path's *stable*
-    per-round ``sorted(..., key=repr)``, so the candidate scan visits
-    items in the identical order without re-sorting.
-    """
-    canon = run.compiled.canon  # type: ignore[attr-defined]
-    buffers: Dict[Node, List[Tuple[str, int, Item]]] = {
-        v: [] for v in tree.parent
-    }
-    seen: Dict[Node, Set[Hashable]] = {v: set() for v in tree.parent}
-    forwarded: Dict[Node, Set[Hashable]] = {v: set() for v in tree.parent}
-    sequence = 0
-    for v, items in local_items.items():
-        for item in items:
-            k = key(item)
-            if k not in seen[v]:
-                seen[v].add(k)
-                insort(buffers[v], (repr(item), sequence, item))
-                sequence += 1
-    while True:
-        charges: List = []
-        arrivals: List[Tuple[Node, str, Item]] = []
-        for v in tree.parent:
-            if v == tree.root:
-                continue
-            candidate = None
-            candidate_repr = ""
-            for item_repr, _, item in buffers[v]:
-                if key(item) not in forwarded[v]:
-                    candidate = item
-                    candidate_repr = item_repr
-                    break
-            if candidate is None:
-                continue
-            parent = tree.parent[v]
-            assert parent is not None
-            forwarded[v].add(key(candidate))
-            charges.append(canon[(v, parent)])
-            arrivals.append((parent, candidate_repr, candidate))
-        if not charges:
-            break
-        run.tick()
-        run.charge_messages(charges)
-        for parent, item_repr, item in arrivals:
-            k = key(item)
-            if k not in seen[parent]:
-                seen[parent].add(k)
-                insort(buffers[parent], (item_repr, sequence, item))
-                sequence += 1
-    return [item for _, _, item in buffers[tree.root]]

@@ -17,7 +17,6 @@ surviving merges have reached the root, giving O(D + |result|) rounds overall
 ``stop_predicate`` hook implements).
 """
 
-from bisect import insort
 from typing import (
     Callable,
     Dict,
@@ -33,7 +32,6 @@ from typing import (
 from repro.congest.bfs import BFSTree
 from repro.congest.run import CongestRun
 from repro.model.graph import Node
-from repro.perf.profiler import maybe_span
 from repro.util import UnionFind
 
 
@@ -73,7 +71,7 @@ class MergeItem:
         return f"MergeItem(key={self.key!r}, {self.a!r}–{self.b!r})"
 
 
-def _kruskal_filter(
+def kruskal_filter(
     items: Sequence[MergeItem],
     base_component: Mapping[Hashable, Hashable],
     presorted: bool = False,
@@ -83,9 +81,9 @@ def _kruskal_filter(
     ``base_component`` maps each entity to its connectivity component under
     the already-fixed forest F'_c (entities absent from the mapping are their
     own components). ``presorted`` skips the ascending sort when the caller
-    maintains the buffer in key order (the compiled-ledger fast path) —
-    item keys are unique within a buffer, so a maintained order and a
-    fresh stable sort are the same sequence.
+    maintains the buffer in key order — item keys are unique within a
+    buffer, so a maintained order and a fresh stable sort are the same
+    sequence.
     """
     uf = UnionFind()
     alive: List[MergeItem] = []
@@ -119,35 +117,27 @@ def pipelined_filtered_upcast(
             pipelining invariant: after depth + i rounds the i smallest
             surviving merges are at the root.
 
-    Returns the accepted merges in ascending order.
-
-    A :class:`~repro.perf.FastCongestRun` engages the compiled fast
-    branch: per-node buffers are maintained in ascending key order
-    (``insort`` on arrival) so the Kruskal filter never re-sorts, and
-    ledger charges use precompiled canonical edges. Profiling showed the
-    per-round re-sorts were the single hottest part of the whole paper
-    pipeline; the accepted merges, round counts, and ledger end state
-    are identical either way (tests/test_perf.py).
+    Returns the accepted merges in ascending order. The collection is the
+    ledger's :meth:`~repro.congest.run.CongestRun.filtered_upcast` kernel,
+    whose default is :func:`filtered_upcast`; it runs in a
+    ``pipelined-upcast`` profiler span.
     """
-    compiled = getattr(run, "compiled", None)
-    fast = compiled is not None
-    profiler = getattr(run, "profiler", None)
-    with maybe_span(profiler, "pipelined-upcast"):
-        return _pipelined_filtered_upcast(
-            tree, local_items, base_component, run, stop_predicate, fast,
-            compiled,
+    with run.span("pipelined-upcast"):
+        return run.filtered_upcast(
+            tree, local_items, base_component, stop_predicate
         )
 
 
-def _pipelined_filtered_upcast(
+def filtered_upcast(
+    run: CongestRun,
     tree: BFSTree,
     local_items: Dict[Node, List[MergeItem]],
     base_component: Mapping[Hashable, Hashable],
-    run: CongestRun,
     stop_predicate: Optional[Callable[[List[MergeItem]], bool]],
-    fast: bool,
-    compiled,
 ) -> List[MergeItem]:
+    """The round-by-round body of :func:`pipelined_filtered_upcast`:
+    every round each node re-runs the Kruskal filter over its buffer and
+    announces its least unannounced surviving merge."""
     buffers: Dict[Node, List[MergeItem]] = {v: [] for v in tree.parent}
     announced: Dict[Node, Set[tuple]] = {v: set() for v in tree.parent}
     seen: Dict[Node, Set[tuple]] = {v: set() for v in tree.parent}
@@ -156,34 +146,11 @@ def _pipelined_filtered_upcast(
             if item.key not in seen[v]:
                 seen[v].add(item.key)
                 buffers[v].append(item)
-    if fast:
-        for buffer in buffers.values():
-            buffer.sort()
-        # A buffer only changes through arrivals and base_component is
-        # fixed for the whole collection, so each node's filtered list
-        # is cached and recomputed only when its buffer changed — most
-        # buffers go quiet after a few rounds. scan_from[v] skips the
-        # already-announced prefix of an unchanged filtered list (the
-        # announced set only grows; it resets on recompute).
-        alive_cache: Dict[Node, List[MergeItem]] = {}
-        scan_from: Dict[Node, int] = {}
-
-        def get_alive(v: Node) -> List[MergeItem]:
-            cached = alive_cache.get(v)
-            if cached is None:
-                cached = alive_cache[v] = _kruskal_filter(
-                    buffers[v], base_component, presorted=True
-                )
-                scan_from[v] = 0
-            return cached
-    else:
-        def get_alive(v: Node) -> List[MergeItem]:
-            return _kruskal_filter(buffers[v], base_component)
 
     rounds_in_primitive = 0
     while True:
         # Root-side early stop on the finalized prefix.
-        root_alive = get_alive(tree.root)
+        root_alive = kruskal_filter(buffers[tree.root], base_component)
         finalized = max(0, rounds_in_primitive - tree.depth)
         prefix = root_alive[: min(finalized, len(root_alive))]
         if stop_predicate is not None:
@@ -195,37 +162,21 @@ def _pipelined_filtered_upcast(
                     return prefix[:cut]
 
         traffic: Dict[Tuple[Node, Node], int] = {}
-        charges: List = []
         arrivals: List[Tuple[Node, MergeItem]] = []
         for v in tree.parent:
             if v == tree.root:
                 continue
-            alive = get_alive(v)
             candidate = None
-            if fast:
-                index = scan_from[v]
-                alive_count = len(alive)
-                while index < alive_count:
-                    item = alive[index]
-                    if item.key not in announced[v]:
-                        candidate = item
-                        break
-                    index += 1
-                scan_from[v] = index
-            else:
-                for item in alive:
-                    if item.key not in announced[v]:
-                        candidate = item
-                        break
+            for item in kruskal_filter(buffers[v], base_component):
+                if item.key not in announced[v]:
+                    candidate = item
+                    break
             if candidate is None:
                 continue
             parent = tree.parent[v]
             assert parent is not None
             announced[v].add(candidate.key)
-            if fast:
-                charges.append(compiled.canon[(v, parent)])
-            else:
-                traffic[(v, parent)] = 1
+            traffic[(v, parent)] = 1
             arrivals.append((parent, candidate))
 
         if not arrivals:
@@ -236,7 +187,7 @@ def _pipelined_filtered_upcast(
             run.charge_rounds(
                 tree.depth, "termination detection (Lemma 4.14)"
             )
-            final = get_alive(tree.root)
+            final = kruskal_filter(buffers[tree.root], base_component)
             if stop_predicate is not None:
                 for cut in range(1, len(final) + 1):
                     if stop_predicate(final[:cut]):
@@ -244,17 +195,8 @@ def _pipelined_filtered_upcast(
             return final
 
         rounds_in_primitive += 1
-        if fast:
-            run.tick()
-            run.charge_messages(charges)
-            for parent, item in arrivals:
-                if item.key not in seen[parent]:
-                    seen[parent].add(item.key)
-                    insort(buffers[parent], item)
-                    alive_cache.pop(parent, None)
-        else:
-            run.tick(traffic)
-            for parent, item in arrivals:
-                if item.key not in seen[parent]:
-                    seen[parent].add(item.key)
-                    buffers[parent].append(item)
+        run.tick(traffic)
+        for parent, item in arrivals:
+            if item.key not in seen[parent]:
+                seen[parent].add(item.key)
+                buffers[parent].append(item)

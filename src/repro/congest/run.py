@@ -6,11 +6,31 @@ ledger enforces that no primitive sends more than one message per edge
 direction per round (raising :class:`CongestViolationError` otherwise) and
 keeps per-edge traffic counters so experiments can meter the traffic across a
 graph cut (the Alice–Bob cut of the Section 3 lower-bound gadgets).
+
+The ledger is also the one dispatch point between the paper's primitives and
+the machinery that runs them: the primitives read the network through it
+(``neighbors``, ``key``, ``canonical``, ``tick_from``, ``tick_all``) and run
+their bodies as its *kernels* (``bfs_tree`` … ``grow_radii``), whose defaults
+here are the reference bodies. A ledger subclass may answer the reads from a
+precomputed topology or override a kernel with an equivalent algorithm; it must
+reproduce the reference execution exactly.
 """
 
 import math
 from collections import Counter
-from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
+from contextlib import nullcontext
+from fractions import Fraction
+from typing import (
+    Any,
+    Callable,
+    ContextManager,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+)
 
 from repro.exceptions import CongestViolationError, SimulationError
 from repro.model.graph import Edge, Node, WeightedGraph, canonical_edge
@@ -20,8 +40,8 @@ DirectedTraffic = Mapping[Tuple[Node, Node], int]
 
 
 def non_edge_violation(sender: Node, receiver: Node) -> CongestViolationError:
-    """The canonical non-edge traffic error (shared with the fast
-    ledger in :mod:`repro.perf.fastpath` so the wording cannot drift)."""
+    """The canonical non-edge traffic error (shared with every ledger
+    subclass so the wording cannot drift)."""
     return CongestViolationError(
         f"message over non-edge ({sender!r}, {receiver!r})"
     )
@@ -30,8 +50,8 @@ def non_edge_violation(sender: Node, receiver: Node) -> CongestViolationError:
 def per_direction_violation(
     count: int, sender: Node, receiver: Node
 ) -> CongestViolationError:
-    """The canonical CONGEST per-direction bound error (shared with the
-    fast ledger)."""
+    """The canonical CONGEST per-direction bound error (shared with every
+    ledger subclass)."""
     return CongestViolationError(
         f"{count} messages from {sender!r} to {receiver!r} "
         "in one round (CONGEST allows 1)"
@@ -73,6 +93,13 @@ class CongestRun:
         #: ones (pinned by tests/test_perf.py).
         self.profiler: Optional[Any] = None
 
+    def span(self, name: str) -> ContextManager[None]:
+        """A named wall-time span on the attached profiler; a no-op
+        context when none is attached."""
+        if self.profiler is None:
+            return nullcontext()
+        return self.profiler.span(name)
+
     # ------------------------------------------------------------------
     # Phases (for per-step round breakdowns in experiments)
     # ------------------------------------------------------------------
@@ -97,8 +124,8 @@ class CongestRun:
 
     def _advance_round(self) -> None:
         """Shared round preamble: count the round, attribute it (phase +
-        profiler), enforce ``max_rounds``. Used by both this ledger and
-        the compiled fast ledger so the bookkeeping cannot diverge."""
+        profiler), enforce ``max_rounds``. Every ledger subclass's
+        ``tick`` starts here, so the bookkeeping cannot diverge."""
         self.rounds += 1
         self._attribute(1)
         if self.rounds > self.max_rounds:
@@ -135,12 +162,11 @@ class CongestRun:
 
         One message per entry; each entry must already be a canonical
         edge of the graph with at most one occurrence per direction this
-        round (the caller — e.g. the compiled broadcast and pipeline
-        branches — guarantees this structurally, so re-validating per
-        message would only re-pay the cost :meth:`tick` exists to
-        amortize). Keeps the charging rules (message count + per-edge
-        counters) owned by the ledger, with the same end state as
-        ``tick(traffic)``.
+        round (the calling kernel guarantees this structurally, so
+        re-validating per message would only re-pay the cost
+        :meth:`tick` exists to amortize). Keeps the charging rules
+        (message count + per-edge counters) owned by the ledger, with
+        the same end state as ``tick(traffic)``.
         """
         count = 0
         for edge in canonical_edges:
@@ -156,9 +182,9 @@ class CongestRun:
 
         ``counter`` maps canonical graph edges to per-edge message
         counts summing to ``count``; like :meth:`charge_messages` the
-        caller (the :mod:`repro.perf.fastpath` compiled topology)
-        guarantees the CONGEST per-direction bound structurally, so the
-        ledger applies the whole delta in one C-speed ``Counter.update``
+        caller guarantees the CONGEST per-direction bound structurally
+        (e.g. a precompiled per-node out-edge multiset), so the ledger
+        applies the whole delta in one C-speed ``Counter.update``
         instead of one Python-level check per message. End state is
         identical to ``tick(traffic)`` with the equivalent directed
         traffic.
@@ -185,6 +211,103 @@ class CongestRun:
                 f"exceeded max_rounds={self.max_rounds} while charging "
                 f"{rounds} rounds ({reason})"
             )
+
+    # ------------------------------------------------------------------
+    # Topology reads and bulk charges
+    # ------------------------------------------------------------------
+
+    def neighbors(self, v: Node) -> Tuple[Node, ...]:
+        """The neighbours of ``v`` in the graph's deterministic order."""
+        return self.graph.neighbors(v)
+
+    def key(self, v: Node) -> str:
+        """The sort key of node ``v``: every primitive breaks ties by
+        ``repr``."""
+        return repr(v)
+
+    def canonical(self, u: Node, v: Node) -> Edge:
+        """The canonical form of the graph edge ``{u, v}``."""
+        return canonical_edge(u, v)
+
+    def tick_from(self, senders: Iterable[Node]) -> None:
+        """One round in which every node of ``senders`` sends one message
+        to each of its neighbours (a flooding or relaxation round)."""
+        self.tick({(u, v): 1 for u in senders for v in self.neighbors(u)})
+
+    def tick_all(self) -> None:
+        """One round in which every node sends one message to each of
+        its neighbours (an owner-exchange round)."""
+        self.tick_from(self.graph.nodes)
+
+    # ------------------------------------------------------------------
+    # Kernels: each public primitive (named in the docstring) runs its
+    # body through one of these; the defaults are the reference bodies.
+    # ------------------------------------------------------------------
+
+    def bfs_tree(self, root: Node) -> Any:
+        """:func:`repro.congest.bfs.build_bfs_tree`."""
+        from repro.congest.bfs import flood
+
+        return flood(self, root)
+
+    def bellman_ford(self, graph, sources, edge_weight, blocked, max_iterations) -> Any:
+        """:func:`repro.congest.bellman_ford.bellman_ford`."""
+        from repro.congest.bellman_ford import relax
+
+        return relax(self, graph, sources, edge_weight, blocked, max_iterations)
+
+    def broadcast(self, tree: Any, items: List[Any]) -> List[Any]:
+        """:func:`repro.congest.broadcast.broadcast_items` (≥ 1 item,
+        depth ≥ 1)."""
+        from repro.congest.broadcast import pipelined_broadcast
+
+        return pipelined_broadcast(self, tree, items)
+
+    def convergecast(self, tree: Any, values: Dict[Node, Any], combine: Callable) -> Any:
+        """:func:`repro.congest.broadcast.convergecast_aggregate`."""
+        from repro.congest.broadcast import tree_convergecast
+
+        return tree_convergecast(self, tree, values, combine)
+
+    def upcast(self, tree: Any, local_items: Dict[Node, Any], key: Callable) -> List[Any]:
+        """:func:`repro.congest.broadcast.upcast_items`."""
+        from repro.congest.broadcast import pipelined_upcast
+
+        return pipelined_upcast(self, tree, local_items, key)
+
+    def filtered_upcast(self, tree, local_items, base_component, stop_predicate) -> List[Any]:
+        """:func:`repro.congest.pipeline.pipelined_filtered_upcast`."""
+        from repro.congest.pipeline import filtered_upcast
+
+        return filtered_upcast(self, tree, local_items, base_component, stop_predicate)
+
+    def grow_radii(
+        self,
+        leftover: Dict[Node, Fraction],
+        owner: Dict[Node, Optional[Node]],
+        parent: Dict[Node, Optional[Node]],
+        sources: Mapping[Node, Any],
+        tree_owner: Dict[Node, Optional[Node]],
+        tree_parent: Dict[Node, Optional[Node]],
+        tree_dist: Dict[Node, Fraction],
+        mu: Fraction,
+    ) -> None:
+        """The end-of-phase radius growth of
+        :func:`repro.core.distributed.distributed_moat_growing`, a local
+        computation at every node: each covered node of a moat active
+        during the phase (a member of ``sources``) gains ``mu`` of
+        leftover; each other node the phase's Bellman–Ford reached within
+        ``mu`` joins its tree owner's moat with leftover ``mu - d``."""
+        for x, lo in list(leftover.items()):
+            if owner[x] is not None and x in sources:
+                leftover[x] = lo + mu
+        for x, d in tree_dist.items():
+            if x in sources:
+                continue
+            if d <= mu:
+                owner[x] = tree_owner[x]
+                parent[x] = tree_parent[x]
+                leftover[x] = mu - d
 
     # ------------------------------------------------------------------
     # Inspection

@@ -17,6 +17,7 @@ from typing import Dict, Hashable, List, Set, Tuple
 
 from repro.congest.bfs import BFSTree, build_bfs_tree
 from repro.congest.broadcast import broadcast_items
+from repro.congest.pipeline import MergeItem, pipelined_filtered_upcast
 from repro.congest.run import CongestRun
 from repro.model.graph import Node
 from repro.model.instance import (
@@ -36,54 +37,22 @@ def distributed_requests_to_components(
     if tree is None:
         tree = build_bfs_tree(graph, run)
 
-    # Upcast demand pairs, filtering cycle-closing ones en route. Each node
-    # keeps a union-find of the pairs it has forwarded; at most t-1 pairs
-    # survive anywhere, so with pipelining this takes O(depth + t) rounds.
-    buffers: Dict[Node, List[Tuple[Node, Node]]] = {v: [] for v in tree.parent}
-    forwarded: Dict[Node, Set[Tuple[Node, Node]]] = {
-        v: set() for v in tree.parent
-    }
+    # Upcast demand pairs, filtering cycle-closing ones en route: the
+    # Kruskal-filtered pipelined upcast of Lemma 4.14 over an empty fixed
+    # forest, in ``repr`` order of the pairs. At most t-1 pairs survive
+    # anywhere, so with pipelining this takes O(depth + t) rounds; the
+    # survivors at the root form an acyclic demand forest.
+    local_items: Dict[Node, List[MergeItem]] = {}
     for v, targets in instance.requests.items():
         for w in sorted(targets, key=repr):
             pair = (v, w) if repr(v) <= repr(w) else (w, v)
-            if pair not in buffers[v]:
-                buffers[v].append(pair)
-    while True:
-        traffic: Dict[Tuple[Node, Node], int] = {}
-        arrivals: List[Tuple[Node, Tuple[Node, Node]]] = []
-        for v in tree.parent:
-            if v == tree.root:
-                continue
-            # Re-derive the acyclic sub-list each round (deterministic).
-            uf = UnionFind()
-            candidate = None
-            for pair in sorted(buffers[v], key=repr):
-                if not uf.union(*pair):
-                    continue
-                if pair not in forwarded[v]:
-                    candidate = pair
-                    break
-            if candidate is None:
-                continue
-            parent = tree.parent[v]
-            assert parent is not None
-            forwarded[v].add(candidate)
-            traffic[(v, parent)] = 1
-            arrivals.append((parent, candidate))
-        if not traffic:
-            run.charge_rounds(tree.depth, "termination detection")
-            break
-        run.tick(traffic)
-        for parent, pair in arrivals:
-            if pair not in buffers[parent]:
-                buffers[parent].append(pair)
-
-    # The root's acyclic demand forest determines the components.
-    uf_root = UnionFind()
-    surviving: List[Tuple[Node, Node]] = []
-    for pair in sorted(buffers[tree.root], key=repr):
-        if uf_root.union(*pair):
-            surviving.append(pair)
+            local_items.setdefault(v, []).append(
+                MergeItem(key=(repr(pair),), a=pair[0], b=pair[1], payload=pair)
+            )
+    surviving: List[Tuple[Node, Node]] = [
+        item.payload
+        for item in pipelined_filtered_upcast(tree, local_items, {}, run)
+    ]
     broadcast_items(tree, surviving, run)
 
     # Local computation at every node (identical everywhere).

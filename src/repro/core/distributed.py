@@ -48,7 +48,7 @@ from fractions import Fraction
 from typing import Dict, FrozenSet, Hashable, List, Optional, Set, Tuple
 
 from repro.congest.bfs import build_bfs_tree
-from repro.congest.bellman_ford import bellman_ford
+from repro.congest.bellman_ford import ReducedWeights, bellman_ford
 from repro.congest.broadcast import broadcast_items, upcast_items
 from repro.congest.pipeline import MergeItem, pipelined_filtered_upcast
 from repro.congest.run import CongestRun
@@ -56,7 +56,6 @@ from repro.exceptions import SimulationError
 from repro.model.graph import Edge, Node, canonical_edge
 from repro.model.instance import SteinerForestInstance
 from repro.model.solution import ForestSolution
-from repro.perf.profiler import maybe_span
 from repro.util import UnionFind
 
 
@@ -212,14 +211,6 @@ def distributed_moat_growing(
     graph = instance.graph
     if run is None:
         run = CongestRun(graph)
-    # The compiled-ledger fast path (repro.perf.fastpath): identical
-    # execution, precompiled charging and memoized per-phase geometry.
-    compiled = getattr(run, "compiled", None)
-    profiler = getattr(run, "profiler", None)
-    # The vectorized numpy tier (repro.perf.npkernels): same contract —
-    # the kernels are byte-identical or they decline and the python
-    # branches below run unchanged.
-    npc = getattr(run, "npc", None)
 
     # ------------------------------------------------------------------
     # Step 1: BFS tree; make (v, λ(v)) global knowledge. O(D + t) rounds.
@@ -263,43 +254,7 @@ def distributed_moat_growing(
         # Sources: all nodes covered by *active* moats, distance 0, tagged
         # by their tree owner. Nodes of inactive regions are blocked.
         # --------------------------------------------------------------
-        def reduced_weight(x: Node, y: Node) -> Fraction:
-            w = Fraction(graph.weight(x, y))
-            cov = Fraction(0)
-            for endpoint in (x, y):
-                lo = leftover.get(endpoint)
-                if lo is not None and lo > 0:
-                    cov += min(w, lo)
-            return max(Fraction(0), w - cov)
-
-        if compiled is not None:
-            # Ŵ_j is fixed within the phase (leftover only changes at
-            # phase end), so each directed edge's reduced weight is
-            # computed once instead of once per relaxation round.
-            rw_cache: Dict[Tuple[Node, Node], Fraction] = {}
-            plain_reduced_weight = reduced_weight
-
-            def reduced_weight(x: Node, y: Node) -> Fraction:
-                value = rw_cache.get((x, y))
-                if value is None:
-                    # Ŵ_j is symmetric in the endpoints: fill both
-                    # directions from one computation.
-                    value = plain_reduced_weight(x, y)
-                    rw_cache[(x, y)] = rw_cache[(y, x)] = value
-                return value
-
-            if npc is not None:
-                # Precompute the whole phase's Ŵ_j on the scaled int64
-                # grid; the Bellman–Ford kernel picks it up through the
-                # ``np_scaled`` hook. None (unscalable leftovers) simply
-                # leaves the hook unset — the kernel then scales the
-                # python callable itself or declines entirely.
-                from repro.perf.npkernels import scaled_reduced_weights
-
-                np_scaled = scaled_reduced_weights(npc, leftover)
-                if np_scaled is not None:
-                    reduced_weight.np_scaled = np_scaled  # type: ignore[attr-defined]
-
+        reduced_weight = ReducedWeights(graph, leftover)
         sources = {}
         blocked: Set[Node] = set()
         for x, own in owner.items():
@@ -309,7 +264,7 @@ def distributed_moat_growing(
                 sources[x] = (Fraction(0), own)
             else:
                 blocked.add(x)
-        with maybe_span(profiler, "bellman-ford"):
+        with run.span("bellman-ford"):
             bf = bellman_ford(
                 graph, sources, run, edge_weight=reduced_weight, blocked=blocked
             )
@@ -324,21 +279,17 @@ def distributed_moat_growing(
             if bf.parent[x] is not None:
                 tree_parent[x] = bf.parent[x]
 
+        # ψ is fixed for the rest of the phase; each endpoint of a
+        # cross-tree edge computes it once instead of per direction.
+        psi_memo: Dict[Node, Fraction] = {}
+
         def psi(x: Node) -> Fraction:
-            lo = leftover.get(x, Fraction(0))
-            return tree_dist.get(x, Fraction(0)) - lo
-
-        if compiled is not None:
-            # ψ is fixed for the rest of the phase; each endpoint of a
-            # cross-tree edge queries it once instead of per direction.
-            psi_cache: Dict[Node, Fraction] = {}
-            plain_psi = psi
-
-            def psi(x: Node) -> Fraction:
-                value = psi_cache.get(x)
-                if value is None:
-                    value = psi_cache[x] = plain_psi(x)
-                return value
+            value = psi_memo.get(x)
+            if value is None:
+                value = psi_memo[x] = (
+                    tree_dist.get(x, Fraction(0)) - leftover.get(x, Fraction(0))
+                )
+            return value
 
         def path_to_owner(x: Node) -> List[Node]:
             chain = [x]
@@ -350,74 +301,34 @@ def distributed_moat_growing(
         # Step (b): one round of owner exchange, then local candidate
         # construction for cross-tree edges.
         # --------------------------------------------------------------
-        if compiled is not None:
-            run.tick()
-            run.charge_counter(compiled.full_counter, compiled.num_directed)
-        else:
-            run.tick({
-                (x, y): 1 for x in graph.nodes for y in graph.neighbors(x)
-            })
+        run.tick_all()
         local_candidates: Dict[Node, List[MergeItem]] = {
             v: [] for v in graph.nodes
         }
-        if compiled is not None:
-            # Activity is constant during candidate construction, and
-            # the compiled topology memoizes node/edge reprs and the
-            # directed-pair → canonical-edge map.
-            reprs = compiled.repr_of
-            canon = compiled.canon
-            edge_repr = compiled.edge_repr
-            active_memo: Dict[Node, bool] = {}
-
-            def is_active(owner_terminal: Node) -> bool:
-                value = active_memo.get(owner_terminal)
-                if value is None:
-                    value = active_memo[owner_terminal] = state.is_active(
-                        owner_terminal
-                    )
-                return value
-
-            edge_iter = compiled.undirected_edges
-        else:
-            is_active = state.is_active
-            edge_iter = graph.edges()
-        for x, y, w in edge_iter:
+        # Activity is constant during candidate construction.
+        active = {t: state.is_active(t) for t in state.terminals}
+        for x, y, w in graph.edges():
             ox, oy = tree_owner.get(x), tree_owner.get(y)
             if ox is None or oy is None or ox == oy:
                 continue
             for a, b in ((x, y), (y, x)):
                 oa, ob = tree_owner[a], tree_owner[b]
-                if not is_active(oa):
+                if not active[oa]:
                     continue  # Definition 4.11 requires the active side
-                if is_active(ob):
+                if active[ob]:
                     mu = (Fraction(w) + psi(a) + psi(b)) / 2
                 else:
                     mu = Fraction(w) + psi(a) - leftover.get(b, Fraction(0))
-                if compiled is not None:
-                    ra, rb = reprs[oa], reprs[ob]
-                    edge = canon[(a, b)]
-                    item = MergeItem(
-                        key=(
-                            mu,
-                            (ra, rb) if ra <= rb else (rb, ra),
-                            edge_repr(edge),
-                        ),
+                ka, kb = run.key(oa), run.key(ob)
+                edge = run.canonical(a, b)
+                local_candidates[a].append(
+                    MergeItem(
+                        key=(mu, (ka, kb) if ka <= kb else (kb, ka), repr(edge)),
                         a=oa,
                         b=ob,
                         payload=(edge, a, b),
                     )
-                else:
-                    item = MergeItem(
-                        key=(
-                            mu,
-                            tuple(sorted((repr(oa), repr(ob)))),
-                            repr(canonical_edge(a, b)),
-                        ),
-                        a=oa,
-                        b=ob,
-                        payload=(canonical_edge(a, b), a, b),
-                    )
-                local_candidates[a].append(item)
+                )
 
         # --------------------------------------------------------------
         # Step (c): pipelined filtered collection with phase-end stop.
@@ -469,33 +380,9 @@ def distributed_moat_growing(
         # gains µ_phase of leftover; nodes the Bellman–Ford reached within
         # µ_phase are newly absorbed. Activity *during* the phase is the
         # activity at phase start, i.e. membership in ``sources``.
-        grown = False
-        if npc is not None:
-            from repro.perf.npkernels import apply_radius_growth
-
-            grown = apply_radius_growth(
-                npc,
-                leftover,
-                owner,
-                parent,
-                sources,
-                tree_owner,
-                tree_parent,
-                tree_dist,
-                mu_phase,
-            )
-        if not grown:
-            for x, lo in list(leftover.items()):
-                own = owner[x]
-                if own is not None and x in sources:
-                    leftover[x] = lo + mu_phase
-            for x, d in tree_dist.items():
-                if x in sources:
-                    continue
-                if d <= mu_phase:
-                    owner[x] = tree_owner[x]
-                    parent[x] = tree_parent[x]
-                    leftover[x] = mu_phase - d
+        run.grow_radii(
+            leftover, owner, parent, sources, tree_owner, tree_parent, tree_dist, mu_phase
+        )
 
     # ------------------------------------------------------------------
     # Step 5: materialize the merge paths by token passing along the

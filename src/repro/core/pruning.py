@@ -32,7 +32,6 @@ from repro.core.matching import maximal_matching_from_proposals
 from repro.model.graph import Edge, Node, canonical_edge
 from repro.model.instance import SteinerForestInstance
 from repro.model.solution import ForestSolution
-from repro.perf.profiler import maybe_span
 from repro.util import UnionFind
 
 
@@ -152,7 +151,7 @@ def fast_pruning(
     n = graph.num_nodes
     t = max(1, instance.num_terminals)
     if sigma is None:
-        with maybe_span(getattr(run, "profiler", None), "oracle/spd"):
+        with run.span("oracle/spd"):
             s = graph.shortest_path_diameter()
         sigma = max(1, math.isqrt(min(s * t, n)))
 
@@ -186,7 +185,7 @@ def fast_pruning(
             )
             num_clusters += 1
             continue
-        with maybe_span(getattr(run, "profiler", None), "cluster-growing"):
+        with run.span("cluster-growing"):
             leader, iterations = _grow_clusters(component, adjacency, sigma)
         clusters = {leader[v] for v in component}
         num_clusters += len(clusters)
@@ -220,7 +219,7 @@ def fast_pruning(
     # feasible subforest; compute it and cross-check the cluster-level
     # selection rule (an inter-cluster edge survives iff some label has
     # terminals on both of its sides within the tree — Lemma F.9).
-    with maybe_span(getattr(run, "profiler", None), "minimal-subforest"):
+    with run.span("minimal-subforest"):
         solution = forest.minimal_subforest(instance)
         if len(forest.edges) <= 200:  # the check is quadratic in |F|
             _check_cluster_selection(instance, forest, solution)

@@ -42,7 +42,6 @@ from repro.core.pruning import fast_pruning
 from repro.core.rounded import rounded_moat_growing
 from repro.model.graph import Edge, Node
 from repro.model.instance import SteinerForestInstance
-from repro.perf.profiler import maybe_span
 from repro.util import UnionFind
 
 
@@ -119,18 +118,14 @@ def sublinear_moat_growing(
     graph = instance.graph
     if run is None:
         run = CongestRun(graph)
-    # The compiled-ledger fast path (repro.perf.fastpath): identical
-    # execution with precompiled charging for the broadcast steps.
-    compiled = getattr(run, "compiled", None)
-    profiler = getattr(run, "profiler", None)
     n = graph.num_nodes
     t = max(1, instance.num_terminals)
-    with maybe_span(profiler, "oracle/spd"):
+    with run.span("oracle/spd"):
         s = graph.shortest_path_diameter()
     if sigma is None:
         sigma = max(1, math.isqrt(min(s * t, n)))
 
-    with maybe_span(profiler, "central-schedule"):
+    with run.span("central-schedule"):
         central = rounded_moat_growing(instance, epsilon)
 
     # ------------------------------------------------------------------
@@ -163,7 +158,7 @@ def sublinear_moat_growing(
         k_g = 1 + sum(1 for e in merges if e.phase_boundary)
         total_merge_phases += k_g
         for _ in range(k_g):
-            with maybe_span(profiler, "bellman-ford"):
+            with run.span("bellman-ford"):
                 bellman_ford(
                     graph,
                     {v: (Fraction(0), v) for v in instance.terminals},
@@ -171,13 +166,7 @@ def sublinear_moat_growing(
                 )
             # One round of owner exchange plus the min-candidate
             # convergecast of Step 3aiv over the BFS tree.
-            if compiled is not None:
-                run.tick()
-                run.charge_counter(compiled.full_counter, compiled.num_directed)
-            else:
-                run.tick({
-                    (x, y): 1 for x in graph.nodes for y in graph.neighbors(x)
-                })
+            run.tick_all()
             run.charge_rounds(
                 2 * tree.depth, "min-candidate convergecast (Step 3aiv)"
             )

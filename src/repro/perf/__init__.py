@@ -9,18 +9,24 @@ cost of the paper's Steiner-forest pipeline:
   :class:`~repro.congest.run.CongestRun` (zero effect when detached —
   results, round counts, and cache keys are pinned byte-identical).
 * :mod:`repro.perf.fastpath` — :class:`CompiledTopology` and
-  :class:`FastCongestRun`, the flat-array ledger engine: the
-  communication primitives detect the compiled topology and take
-  conformance-pinned fast branches (cached neighbor tuples and ``repr``
-  keys, batched Counter charging, incremental sorted buffers).
-  :func:`make_ledger_run` threads the experiment engine's ``--backend``
-  axis (including ``auto``) into the ledger-level solvers.
+  :class:`FastCongestRun`, the flat-array ledger: it answers the
+  :class:`~repro.congest.run.CongestRun` topology reads and bulk
+  charges from a compiled topology (cached neighbor tuples and
+  ``repr`` keys, whole-Counter charging) and overrides the ``upcast``
+  and ``filtered_upcast`` kernels with incremental sorted-buffer
+  versions. :func:`make_ledger_run` threads the experiment engine's
+  ``--backend`` axis (including ``auto``) into the ledger-level solvers.
 * :mod:`repro.perf.npkernels` — the optional vectorized ``numpy`` tier:
   :class:`NumpyCongestRun` (a :class:`FastCongestRun` subclass carrying
-  a CSR :class:`NumpyTopology`) plus exact integer-dtype kernels for the
+  a CSR :class:`NumpyTopology`) overrides the ledger kernels of the
   regular primitives (BFS, Bellman–Ford, broadcast, convergecast, moat
-  radius growth). Imported lazily/conditionally — with numpy absent the
-  package still imports and the two-tier stack is unaffected.
+  radius growth) with exact integer-dtype array versions. Imported
+  lazily/conditionally — with numpy absent the package still imports
+  and the two-tier stack is unaffected.
+
+This package is the only one that knows tiers exist: the primitives
+(:mod:`repro.congest`) and solvers (:mod:`repro.core`) call the ledger's
+methods and never look at which ledger they hold.
 * :mod:`repro.perf.report` — the flame-style text report behind the
   ``repro profile`` subcommand.
 

@@ -20,30 +20,31 @@ This module compiles all of that away once per execution:
 * :class:`CompiledTopology` precomputes per-node neighbor tuples, node
   ``repr`` keys, per-node canonical-edge Counters, and the full-graph
   broadcast Counter;
-* :class:`FastCongestRun` is a drop-in :class:`CongestRun` carrying the
-  compiled topology; its ``tick`` validates via one dict lookup per
-  message, and :meth:`CongestRun.charge_counter` applies whole-round
-  traffic in one C-speed Counter update;
-* the communication primitives detect ``run.compiled`` and switch to
-  integer-light branches that produce the **identical** execution —
-  same rounds, messages, per-edge traffic, phases, and solver output.
+* :class:`FastCongestRun` answers the ledger's topology reads
+  (``neighbors``, ``key``, ``canonical``) from the compilation and its
+  bulk charges (``tick_from``, ``tick_all``) with whole-Counter updates,
+  so the primitives' one body runs on it unchanged; ``tick`` validates
+  via one dict lookup per message;
+* it replaces two kernels with incremental versions of the same
+  algorithm: ``upcast`` keeps every buffer sorted by ``insort`` instead
+  of re-sorting per round, and ``filtered_upcast`` keeps presorted
+  buffers plus a per-node cache of the Kruskal-filtered list.
 
-The fast path is conformance-pinned:
-``tests/test_perf.py`` runs the distributed and sublinear solvers under
-both ledgers across the graph-family matrix and asserts equality field
-by field. The ``reference`` path (a plain ``CongestRun``) stays the
-simple, obviously-correct baseline and is never modified by backend
-selection.
+Every execution is **identical** to the reference ledger's — same
+rounds, messages, per-edge traffic, phases, and solver output
+(``tests/test_perf.py`` runs the distributed and sublinear solvers on
+every tier across the graph-family matrix against literal pins). The
+``reference`` path (a plain ``CongestRun``) stays the simple,
+obviously-correct baseline and is never modified by backend selection.
 """
 
+from bisect import insort
 from collections import Counter
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, Iterable, List, Mapping, Optional, Set, Tuple
 
-from repro.congest.run import (
-    CongestRun,
-    non_edge_violation,
-    per_direction_violation,
-)
+from repro.congest.bfs import BFSTree
+from repro.congest.pipeline import MergeItem, kruskal_filter
+from repro.congest.run import CongestRun, non_edge_violation, per_direction_violation
 from repro.model.graph import Edge, Node, WeightedGraph
 from repro.simbackend import (
     AUTO_THRESHOLD_NODES,
@@ -83,9 +84,6 @@ class CompiledTopology:
         "degree",
         "full_counter",
         "num_directed",
-        "undirected_edges",
-        "_tag_repr",
-        "_edge_repr",
     )
 
     def __init__(self, graph: WeightedGraph) -> None:
@@ -117,29 +115,6 @@ class CompiledTopology:
         self.degree = degree
         self.full_counter = full
         self.num_directed = sum(degree.values())
-        #: The graph's canonical (u, v, weight) list, computed once
-        #: (``WeightedGraph.edges`` rebuilds it per call).
-        self.undirected_edges = tuple(graph.edges())
-        # repr memo for arbitrary hashable tags (Bellman–Ford regions).
-        # Keyed by (type, value): hash-equal values of different types
-        # (True vs 1) must not share a cached repr.
-        self._tag_repr: Dict[Tuple[type, Any], str] = {}
-        self._edge_repr: Dict[Edge, str] = {}
-
-    def tag_repr(self, tag: Any) -> str:
-        """``repr(tag)``, memoized (tags repeat across relaxation rounds)."""
-        key = (type(tag), tag)
-        cached = self._tag_repr.get(key)
-        if cached is None:
-            cached = self._tag_repr[key] = repr(tag)
-        return cached
-
-    def edge_repr(self, edge: Edge) -> str:
-        """``repr(edge)``, memoized (candidate keys repeat per phase)."""
-        cached = self._edge_repr.get(edge)
-        if cached is None:
-            cached = self._edge_repr[edge] = repr(edge)
-        return cached
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -152,19 +127,17 @@ class FastCongestRun(CongestRun):
     """A :class:`CongestRun` with a compiled topology (the flatarray
     ledger).
 
-    Drop-in compatible: the primitives detect the ``compiled`` attribute
-    and take their fast branches; code that never looks for it behaves
-    exactly as with a plain run. ``tick`` keeps the full CONGEST
-    validation contract (same error types and messages) but resolves
-    edge membership and canonical form with one dict lookup per message.
+    Drop-in compatible: the topology reads and bulk charges come from
+    the :class:`CompiledTopology`, and the ``upcast`` /
+    ``filtered_upcast`` kernels are incremental; everything else is the
+    inherited reference body. ``tick`` keeps the full CONGEST validation
+    contract (same error types and messages) but resolves edge
+    membership and canonical form with one dict lookup per message.
 
     Args:
         graph: the network the algorithm runs on.
         bandwidth_bits: see :class:`CongestRun`.
         max_rounds: see :class:`CongestRun`.
-        compiled: reuse an existing compilation of ``graph`` (e.g. when
-            several runs share one instance); compiled on demand when
-            omitted.
     """
 
     def __init__(
@@ -172,14 +145,11 @@ class FastCongestRun(CongestRun):
         graph: WeightedGraph,
         bandwidth_bits: Optional[int] = None,
         max_rounds: int = 10_000_000,
-        compiled: Optional[CompiledTopology] = None,
     ) -> None:
         super().__init__(
             graph, bandwidth_bits=bandwidth_bits, max_rounds=max_rounds
         )
-        if compiled is not None and compiled.graph is not graph:
-            raise ValueError("compiled topology belongs to a different graph")
-        self.compiled = compiled if compiled is not None else CompiledTopology(graph)
+        self.compiled = CompiledTopology(graph)
 
     def tick(self, traffic: Optional[Mapping[Tuple[Node, Node], int]] = None) -> None:
         """Advance one round; charge ``traffic`` via the compiled edge map.
@@ -208,6 +178,189 @@ class FastCongestRun(CongestRun):
             self.messages += charged
             if self.profiler is not None and charged:
                 self.profiler.add_messages(charged)
+
+    # -- topology reads and bulk charges ----------------------------------
+
+    def neighbors(self, v: Node) -> Tuple[Node, ...]:
+        return self.compiled.neighbors[v]
+
+    def key(self, v: Node) -> str:
+        return self.compiled.repr_of[v]
+
+    def canonical(self, u: Node, v: Node) -> Edge:
+        return self.compiled.canon[(u, v)]
+
+    def tick_from(self, senders: Iterable[Node]) -> None:
+        self.tick()
+        compiled = self.compiled
+        out_counter = compiled.out_counter
+        degree = compiled.degree
+        for u in senders:
+            self.charge_counter(out_counter[u], degree[u])
+
+    def tick_all(self) -> None:
+        self.tick()
+        compiled = self.compiled
+        self.charge_counter(compiled.full_counter, compiled.num_directed)
+
+    # -- incremental kernels ----------------------------------------------
+
+    def upcast(
+        self,
+        tree: BFSTree,
+        local_items: Dict[Node, Iterable[Any]],
+        key: Callable[[Any], Hashable],
+    ) -> List[Any]:
+        """:func:`repro.congest.broadcast.pipelined_upcast` with sorted
+        buffers.
+
+        Buffer entries are ``(repr(item), sequence, item)`` triples kept
+        sorted by ``insort``: the sequence number (global insertion
+        order) breaks ``repr`` ties exactly like the reference's
+        *stable* per-round ``sorted(..., key=repr)``, so the candidate
+        scan visits items in the identical order without re-sorting.
+        """
+        canon = self.compiled.canon
+        buffers: Dict[Node, List[Tuple[str, int, Any]]] = {
+            v: [] for v in tree.parent
+        }
+        seen: Dict[Node, Set[Hashable]] = {v: set() for v in tree.parent}
+        forwarded: Dict[Node, Set[Hashable]] = {v: set() for v in tree.parent}
+        sequence = 0
+        for v, items in local_items.items():
+            for item in items:
+                k = key(item)
+                if k not in seen[v]:
+                    seen[v].add(k)
+                    insort(buffers[v], (repr(item), sequence, item))
+                    sequence += 1
+        while True:
+            charges: List[Edge] = []
+            arrivals: List[Tuple[Node, str, Any]] = []
+            for v in tree.parent:
+                if v == tree.root:
+                    continue
+                candidate = None
+                candidate_repr = ""
+                for item_repr, _, item in buffers[v]:
+                    if key(item) not in forwarded[v]:
+                        candidate = item
+                        candidate_repr = item_repr
+                        break
+                if candidate is None:
+                    continue
+                parent = tree.parent[v]
+                assert parent is not None
+                forwarded[v].add(key(candidate))
+                charges.append(canon[(v, parent)])
+                arrivals.append((parent, candidate_repr, candidate))
+            if not charges:
+                break
+            self.tick()
+            self.charge_messages(charges)
+            for parent, item_repr, item in arrivals:
+                k = key(item)
+                if k not in seen[parent]:
+                    seen[parent].add(k)
+                    insort(buffers[parent], (item_repr, sequence, item))
+                    sequence += 1
+        return [item for _, _, item in buffers[tree.root]]
+
+    def filtered_upcast(
+        self,
+        tree: BFSTree,
+        local_items: Dict[Node, List[MergeItem]],
+        base_component: Mapping[Hashable, Hashable],
+        stop_predicate: Optional[Callable[[List[MergeItem]], bool]],
+    ) -> List[MergeItem]:
+        """:func:`repro.congest.pipeline.filtered_upcast` with presorted
+        buffers and cached filtered lists.
+
+        Buffers stay in ascending key order (``insort`` on arrival), so
+        the Kruskal filter never re-sorts; a node's filtered list is
+        cached until its buffer changes (``base_component`` is fixed),
+        and ``scan_from[v]`` skips its already-announced prefix.
+        """
+        canon = self.compiled.canon
+        buffers: Dict[Node, List[MergeItem]] = {v: [] for v in tree.parent}
+        announced: Dict[Node, Set[tuple]] = {v: set() for v in tree.parent}
+        seen: Dict[Node, Set[tuple]] = {v: set() for v in tree.parent}
+        for v, items in local_items.items():
+            for item in items:
+                if item.key not in seen[v]:
+                    seen[v].add(item.key)
+                    buffers[v].append(item)
+        for buffer in buffers.values():
+            buffer.sort()
+        alive_cache: Dict[Node, List[MergeItem]] = {}
+        scan_from: Dict[Node, int] = {}
+
+        def get_alive(v: Node) -> List[MergeItem]:
+            cached = alive_cache.get(v)
+            if cached is None:
+                cached = alive_cache[v] = kruskal_filter(
+                    buffers[v], base_component, presorted=True
+                )
+                scan_from[v] = 0
+            return cached
+
+        rounds_in_primitive = 0
+        while True:
+            # Root-side early stop on the finalized prefix.
+            root_alive = get_alive(tree.root)
+            finalized = max(0, rounds_in_primitive - tree.depth)
+            prefix = root_alive[: min(finalized, len(root_alive))]
+            if stop_predicate is not None:
+                for cut in range(1, len(prefix) + 1):
+                    if stop_predicate(prefix[:cut]):
+                        self.charge_rounds(
+                            tree.depth, "phase-end stop broadcast (Cor. 4.16)"
+                        )
+                        return prefix[:cut]
+
+            charges: List[Edge] = []
+            arrivals: List[Tuple[Node, MergeItem]] = []
+            for v in tree.parent:
+                if v == tree.root:
+                    continue
+                alive = get_alive(v)
+                candidate = None
+                index = scan_from[v]
+                alive_count = len(alive)
+                while index < alive_count:
+                    item = alive[index]
+                    if item.key not in announced[v]:
+                        candidate = item
+                        break
+                    index += 1
+                scan_from[v] = index
+                if candidate is None:
+                    continue
+                parent = tree.parent[v]
+                assert parent is not None
+                announced[v].add(candidate.key)
+                charges.append(canon[(v, parent)])
+                arrivals.append((parent, candidate))
+
+            if not arrivals:
+                self.charge_rounds(
+                    tree.depth, "termination detection (Lemma 4.14)"
+                )
+                final = get_alive(tree.root)
+                if stop_predicate is not None:
+                    for cut in range(1, len(final) + 1):
+                        if stop_predicate(final[:cut]):
+                            return final[:cut]
+                return final
+
+            rounds_in_primitive += 1
+            self.tick()
+            self.charge_messages(charges)
+            for parent, item in arrivals:
+                if item.key not in seen[parent]:
+                    seen[parent].add(item.key)
+                    insort(buffers[parent], item)
+                    alive_cache.pop(parent, None)
 
 
 def make_ledger_run(

@@ -15,9 +15,11 @@ numpy operations over a CSR topology:
   charging.
 * :class:`NumpyCongestRun` — a :class:`~repro.perf.fastpath.
   FastCongestRun` whose per-edge traffic accumulates in an int64 array
-  (materialized to the usual Counter on first read). Because it *is* a
-  FastCongestRun, any primitive without a numpy branch falls back to the
-  conformance-pinned flatarray branch automatically.
+  (materialized to the usual Counter on first read). It overrides the
+  ledger kernels ``bfs_tree``, ``bellman_ford``, ``broadcast``,
+  ``convergecast`` and ``grow_radii`` (and Bellman–Ford's Ŵ_j weights);
+  everything else — topology reads, the incremental upcasts — it
+  inherits from the flatarray ledger.
 * the kernels — frontier expansion by segment gather, per-target
   lexicographic minima by ``lexsort`` + first-occurrence masks, masked
   radius growth — each produce the byte-identical execution of their
@@ -30,8 +32,8 @@ scaling every Fraction by the least common denominator. Scaling is
 gated by explicit bound checks against :data:`INT64_LIMIT` (with the
 worst-case path length folded in), and every kernel re-asserts its
 outputs stay inside the bound — when a workload cannot be scaled (float
-weights, giant denominators, values near 2^62) the caller falls back to
-the exact python branch instead of losing precision. Conformance is
+weights, giant denominators, values near 2^62) the kernel declines and
+the inherited exact python body runs instead of losing precision. Conformance is
 exact, never approximate.
 
 This module imports numpy at module scope **on purpose**: when numpy is
@@ -44,10 +46,12 @@ dependency-free.
 import math
 from collections import Counter
 from fractions import Fraction
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
+from repro.congest.bellman_ford import BellmanFordResult, ReducedWeights
+from repro.congest.bfs import BFSTree
 from repro.congest.run import CongestRun
 from repro.model.graph import Edge, Node, WeightedGraph
 from repro.perf.fastpath import CompiledTopology, FastCongestRun
@@ -109,7 +113,7 @@ class NumpyTopology:
     :class:`CompiledTopology`, whose per-node Counters and full canon
     dict are pure-python costs the vectorized kernels never pay (the
     flatarray compilation stays lazy on :class:`NumpyCongestRun` for
-    the fallback branches that do need it).
+    the inherited reads that do need it).
 
     Attributes:
         graph: the compiled :class:`~repro.model.graph.WeightedGraph`.
@@ -232,8 +236,8 @@ class NumpyTopology:
         """Evaluate a custom ``edge_weight`` once per directed CSR edge.
 
         Returns ``(scaled int64 per CSR position, denominator)``, or
-        None when any value cannot be scaled exactly (caller falls back
-        to the python branch).
+        None when any value cannot be scaled exactly (the Bellman–Ford
+        kernel then declines).
         """
         order = self.order
         values: List[Fraction] = []
@@ -277,17 +281,15 @@ def gather_out_edges(
 
 
 class NumpyCongestRun(FastCongestRun):
-    """The numpy-tier ledger: a FastCongestRun with array charging.
-
-    Drop-in compatible with both plainer ledgers: primitives with a
-    numpy branch detect the ``npc`` attribute; everything else sees the
-    inherited ``compiled`` topology and takes the flatarray branch, so
-    no execution path is ever slower *or different* than flatarray.
+    """The numpy-tier ledger: a FastCongestRun with array charging and
+    vectorized kernels.
 
     Per-edge traffic accumulates in an int64 array indexed by canonical
     edge id and is folded into the inherited ``edge_messages`` Counter
     on first read (Counter equality is order-insensitive, so the
-    materialization order is unobservable).
+    materialization order is unobservable). Kernels it does not
+    override, and the topology reads, are the flatarray ledger's — so no
+    execution path is ever slower *or different* than flatarray.
     """
 
     def __init__(
@@ -295,28 +297,22 @@ class NumpyCongestRun(FastCongestRun):
         graph: WeightedGraph,
         bandwidth_bits: Optional[int] = None,
         max_rounds: int = 10_000_000,
-        compiled: Optional[CompiledTopology] = None,
-        npc: Optional[NumpyTopology] = None,
     ) -> None:
         # Skip FastCongestRun.__init__ on purpose: the pure-python
         # CompiledTopology costs more to build than the whole vectorized
-        # pipeline at large n, and only the flatarray fallback branches
-        # read it — so it is built lazily by the ``compiled`` property.
+        # pipeline at large n, and only the inherited flatarray reads
+        # use it — so it is built lazily by the ``compiled`` property.
         CongestRun.__init__(
             self, graph, bandwidth_bits=bandwidth_bits, max_rounds=max_rounds
         )
-        if compiled is not None and compiled.graph is not graph:
-            raise ValueError("compiled topology belongs to a different graph")
-        self._compiled = compiled
-        if npc is not None and npc.graph is not graph:
-            raise ValueError("numpy topology belongs to a different graph")
-        self.npc = npc if npc is not None else NumpyTopology(graph)
+        self._compiled: Optional[CompiledTopology] = None
+        self.npc = NumpyTopology(graph)
         self._pending = np.zeros(self.npc.num_edges, dtype=np.int64)
         self._pending_dirty = False
 
     @property
     def compiled(self) -> CompiledTopology:
-        """The flatarray compilation, built on first fallback use."""
+        """The flatarray compilation, built on first use."""
         if self._compiled is None:
             self._compiled = CompiledTopology(self.graph)
         return self._compiled
@@ -369,282 +365,299 @@ class NumpyCongestRun(FastCongestRun):
         if self.profiler is not None:
             self.profiler.add_messages(count)
 
+    # -- BFS flooding ----------------------------------------------------
 
-# ---------------------------------------------------------------------
-# BFS flooding
-# ---------------------------------------------------------------------
+    def bfs_tree(self, root: Node) -> BFSTree:
+        """:func:`repro.congest.bfs.flood` as array kernels.
 
+        Round-for-round identical to the reference flooding: while the
+        frontier is non-empty one round is ticked and every frontier
+        node charges all its out-edges; joins pick the minimum-rank
+        announcer (== minimum ``repr``). The parent dict keeps the
+        reference insertion order (root first, then per depth in
+        ascending ``repr``).
+        """
+        npc = self.npc
+        order = npc.order
+        root_rank = npc.rank_of[root]
+        n = len(order)
+        visited = np.zeros(n, dtype=bool)
+        visited[root_rank] = True
+        frontier = np.asarray([root_rank], dtype=np.int64)
+        parent_rank = np.full(n, -1, dtype=np.int64)
+        levels: List[np.ndarray] = []
+        while frontier.size:
+            self.tick()
+            positions, senders, targets = gather_out_edges(
+                npc.indptr, npc.indices, frontier
+            )
+            self.charge_eids(npc.edge_eid[positions])
+            mask = ~visited[targets]
+            cand_t = targets[mask]
+            if cand_t.size:
+                cand_s = senders[mask]
+                new, inverse = np.unique(cand_t, return_inverse=True)
+                best = np.full(new.size, n, dtype=np.int64)
+                np.minimum.at(best, inverse, cand_s)
+                parent_rank[new] = best
+                visited[new] = True
+                levels.append(new)
+                frontier = new
+            else:
+                frontier = np.empty(0, dtype=np.int64)
+        parent: Dict[Node, Optional[Node]] = {root: None}
+        depth_of: Dict[Node, int] = {root: 0}
+        for level_depth, ranks in enumerate(levels, start=1):
+            for rank in ranks.tolist():
+                parent[order[rank]] = order[parent_rank[rank]]
+                depth_of[order[rank]] = level_depth
+        return BFSTree(root, parent, depth_of)
 
-def bfs_levels(
-    npc: NumpyTopology, root_rank: int
-) -> Tuple[np.ndarray, np.ndarray, List[np.ndarray]]:
-    """Pure BFS kernel: parents/depths by repr-minimum flooding.
+    # -- multi-source Bellman–Ford (scaled int64 relaxation) -------------
 
-    Returns ``(parent_rank, depth, levels)`` where ``parent_rank`` is -1
-    for the root and unreached nodes, ``depth`` is -1 for unreached
-    nodes, and ``levels[d]`` holds the ranks joining at depth d+1 in
-    ascending rank order (the reference insertion order). Pure — no
-    ledger; :func:`build_bfs_tree_numpy` adds the charging.
-    """
-    n = len(npc.order)
-    parent_rank = np.full(n, -1, dtype=np.int64)
-    depth = np.full(n, -1, dtype=np.int64)
-    depth[root_rank] = 0
-    visited = np.zeros(n, dtype=bool)
-    visited[root_rank] = True
-    frontier = np.asarray([root_rank], dtype=np.int64)
-    levels: List[np.ndarray] = []
-    d = 0
-    while frontier.size:
-        d += 1
-        _, senders, targets = gather_out_edges(
-            npc.indptr, npc.indices, frontier
+    def bellman_ford(self, graph, sources, edge_weight, blocked, max_iterations):
+        """:func:`repro.congest.bellman_ford.relax` on the scaled int64
+        grid, or the inherited python body when the kernel declines."""
+        result = self._bellman_ford_scaled(
+            graph, sources, edge_weight, blocked, max_iterations
         )
-        mask = ~visited[targets]
-        cand_t = targets[mask]
-        if cand_t.size:
-            cand_s = senders[mask]
-            new, inverse = np.unique(cand_t, return_inverse=True)
-            best = np.full(new.size, n, dtype=np.int64)
-            np.minimum.at(best, inverse, cand_s)
-            parent_rank[new] = best
-            depth[new] = d
-            visited[new] = True
-            levels.append(new)
-            frontier = new
-        else:
-            frontier = np.empty(0, dtype=np.int64)
-    return parent_rank, depth, levels
+        if result is None:
+            return super().bellman_ford(
+                graph, sources, edge_weight, blocked, max_iterations
+            )
+        return result
 
+    def _bellman_ford_scaled(
+        self,
+        graph: WeightedGraph,
+        sources: Mapping[Node, Tuple[Any, Hashable]],
+        edge_weight: Optional[Callable[[Node, Node], Any]],
+        blocked: Any,
+        max_iterations: Optional[int],
+    ) -> Optional[BellmanFordResult]:
+        """The vectorized relaxation; None declines (a subgraph of the
+        network, or weights or distances that do not scale exactly).
 
-def build_bfs_tree_numpy(run: "NumpyCongestRun", root: Node):
-    """The numpy branch of :func:`repro.congest.bfs.build_bfs_tree`.
-
-    Round-for-round identical to the reference flooding: while the
-    frontier is non-empty one round is ticked and every frontier node
-    charges all its out-edges; joins pick the minimum-rank announcer
-    (== minimum ``repr``). Returns the same :class:`~repro.congest.bfs.
-    BFSTree`, with the parent dict in the reference insertion order
-    (root first, then per depth in ascending ``repr``).
-    """
-    from repro.congest.bfs import BFSTree
-
-    npc = run.npc
-    order = npc.order
-    root_rank = npc.rank_of[root]
-    # Charging follows the identical round structure: replay the level
-    # expansion, ticking and charging per round.
-    n = len(order)
-    visited = np.zeros(n, dtype=bool)
-    visited[root_rank] = True
-    frontier = np.asarray([root_rank], dtype=np.int64)
-    parent_rank = np.full(n, -1, dtype=np.int64)
-    levels: List[np.ndarray] = []
-    d = 0
-    while frontier.size:
-        d += 1
-        run.tick()
-        positions, senders, targets = gather_out_edges(
-            npc.indptr, npc.indices, frontier
-        )
-        run.charge_eids(npc.edge_eid[positions])
-        mask = ~visited[targets]
-        cand_t = targets[mask]
-        if cand_t.size:
-            cand_s = senders[mask]
-            new, inverse = np.unique(cand_t, return_inverse=True)
-            best = np.full(new.size, n, dtype=np.int64)
-            np.minimum.at(best, inverse, cand_s)
-            parent_rank[new] = best
-            visited[new] = True
-            levels.append(new)
-            frontier = new
-        else:
-            frontier = np.empty(0, dtype=np.int64)
-    parent: Dict[Node, Optional[Node]] = {root: None}
-    depth_of: Dict[Node, int] = {root: 0}
-    for level_depth, ranks in enumerate(levels, start=1):
-        for rank in ranks.tolist():
-            parent[order[rank]] = order[parent_rank[rank]]
-            depth_of[order[rank]] = level_depth
-    return BFSTree(root, parent, depth_of)
-
-
-# ---------------------------------------------------------------------
-# Multi-source Bellman–Ford (scaled int64 relaxation)
-# ---------------------------------------------------------------------
-
-
-def bellman_ford_numpy(
-    graph: WeightedGraph,
-    sources: Any,
-    run: "NumpyCongestRun",
-    edge_weight: Optional[Callable[[Node, Node], Any]],
-    blocked: Any,
-    max_iterations: Optional[int],
-):
-    """The numpy branch of :func:`repro.congest.bellman_ford.
-    bellman_ford`; returns a BellmanFordResult or None when the
-    workload cannot be scaled to int64 exactly (the caller then takes
-    the python branch).
-
-    Per relaxation round: gather every out-edge of the changed set,
-    lexsort candidates by (distance, tag rank, sender rank) — the exact
-    repr-based tie-breaking of the reference — keep the first candidate
-    per target, and apply the strictly-smaller (distance, tag)
-    acceptance rule as masked array updates.
-    """
-    from repro.congest.bellman_ford import BellmanFordResult
-
-    npc = run.npc
-    n = len(npc.order)
-    rank_of = npc.rank_of
-
-    # --- scale the weights ------------------------------------------
-    if edge_weight is None or edge_weight is graph.weight:
-        w_denom = 1
-        w_scaled = npc.eid_weight[npc.edge_eid]
-    else:
-        precomputed = getattr(edge_weight, "np_scaled", None)
-        if precomputed is not None:
-            per_eid, w_denom = precomputed
-            w_scaled = per_eid[npc.edge_eid]
-        else:
-            evaluated = npc.directed_weights(edge_weight)
-            if evaluated is None:
-                return None
-            w_scaled, w_denom = evaluated
-
-    # --- scale the source distances to the common grid --------------
-    source_items = list(sources.items())
-    d0_scaled = scale_fractions([d0 for _, (d0, _) in source_items])
-    if d0_scaled is None:
-        return None
-    d0_values, d0_denom = d0_scaled
-    denom = w_denom * d0_denom // math.gcd(w_denom, d0_denom)
-    if denom >= INT64_LIMIT:
-        return None
-    if denom != w_denom:
-        factor = denom // w_denom
-        # Pre-check in python ints: the int64 multiply itself could
-        # wrap before any bound assertion sees the product.
-        max_abs_w = int(np.abs(w_scaled).max()) if w_scaled.size else 0
-        if max_abs_w * factor >= INT64_LIMIT:
+        Per relaxation round: gather every out-edge of the changed set,
+        lexsort candidates by (distance, tag rank, sender rank) — the
+        exact repr-based tie-breaking of the reference — keep the first
+        candidate per target, and apply the strictly-smaller (distance,
+        tag) acceptance rule as masked array updates.
+        """
+        if graph is not self.graph:
             return None
-        w_scaled = w_scaled * factor
-    if denom != d0_denom:
-        factor = denom // d0_denom
-        d0_values = [d * factor for d in d0_values]
-    # Worst-case candidate: a stored distance is a source offset plus
-    # at most n-1 hops (the first walk that reached the node; later
-    # ones only improve it), and a candidate adds one more edge — e.g.
-    # an announcement back to the predecessor — so bound by n hops.
-    max_w = int(w_scaled.max()) if w_scaled.size else 0
-    max_d0 = max((abs(d) for d in d0_values), default=0)
-    if max_d0 + n * max(0, max_w) >= INT64_LIMIT:
-        return None
-    assert_int64_bounds(w_scaled, "bellman_ford weights")
+        npc = self.npc
+        n = len(npc.order)
+        rank_of = npc.rank_of
 
-    # --- tags: repr-rank ints (equal reprs share a rank, exactly the
-    # reference's repr-string comparison) -----------------------------
-    tag_repr = npc.tag_repr
-    tags = [t for _, (_, t) in source_items]
-    distinct_reprs = sorted({tag_repr(t) for t in tags})
-    repr_rank = {r: i for i, r in enumerate(distinct_reprs)}
+        # --- scale the weights: the graph weight and Ŵ_j per canonical
+        # edge, any other callable per directed edge ----------------------
+        per_eid = None
+        if edge_weight is None:
+            per_eid = npc.eid_weight, 1
+        elif isinstance(edge_weight, ReducedWeights):
+            per_eid = scaled_reduced_weights(npc, edge_weight.leftover)
+        if per_eid is not None:
+            w_scaled, w_denom = per_eid[0][npc.edge_eid], per_eid[1]
+        else:
+            directed = npc.directed_weights(edge_weight)
+            if directed is None:
+                return None
+            w_scaled, w_denom = directed
 
-    dist_s = np.full(n, UNREACHED, dtype=np.int64)
-    tag_rank = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
-    tag_idx = np.full(n, -1, dtype=np.int64)
-    parent_rank = np.full(n, -1, dtype=np.int64)
-    source_mask = np.zeros(n, dtype=bool)
-    for i, (v, (d0, t)) in enumerate(source_items):
-        r = rank_of[v]
-        dist_s[r] = d0_values[i]
-        tag_rank[r] = repr_rank[tag_repr(t)]
-        tag_idx[r] = i
-        source_mask[r] = True
+        # --- scale the source distances to the common grid --------------
+        source_items = list(sources.items())
+        d0_scaled = scale_fractions([d0 for _, (d0, _) in source_items])
+        if d0_scaled is None:
+            return None
+        d0_values, d0_denom = d0_scaled
+        denom = w_denom * d0_denom // math.gcd(w_denom, d0_denom)
+        if denom >= INT64_LIMIT:
+            return None
+        if denom != w_denom:
+            factor = denom // w_denom
+            # Pre-check in python ints: the int64 multiply itself could
+            # wrap before any bound assertion sees the product.
+            max_abs_w = int(np.abs(w_scaled).max()) if w_scaled.size else 0
+            if max_abs_w * factor >= INT64_LIMIT:
+                return None
+            w_scaled = w_scaled * factor
+        if denom != d0_denom:
+            factor = denom // d0_denom
+            d0_values = [d * factor for d in d0_values]
+        # Worst-case candidate: a stored distance is a source offset plus
+        # at most n-1 hops (the first walk that reached the node; later
+        # ones only improve it), and a candidate adds one more edge — e.g.
+        # an announcement back to the predecessor — so bound by n hops.
+        max_w = int(w_scaled.max()) if w_scaled.size else 0
+        max_d0 = max((abs(d) for d in d0_values), default=0)
+        if max_d0 + n * max(0, max_w) >= INT64_LIMIT:
+            return None
+        assert_int64_bounds(w_scaled, "bellman_ford weights")
 
-    blocked_mask = np.zeros(n, dtype=bool)
-    for v in blocked:
-        blocked_mask[rank_of[v]] = True
-    skip_mask = blocked_mask | source_mask
+        # --- tags: repr-rank ints (equal reprs share a rank, exactly the
+        # reference's repr-string comparison) -----------------------------
+        tag_repr = npc.tag_repr
+        tags = [t for _, (_, t) in source_items]
+        distinct_reprs = sorted({tag_repr(t) for t in tags})
+        repr_rank = {r: i for i, r in enumerate(distinct_reprs)}
 
-    changed = source_mask.copy()
-    #: Ranks of non-source nodes in the order the reference first
-    #: inserts them into its dist dict (per round, first-proposal order
-    #: over announcers sorted by repr × neighbors sorted by repr — which
-    #: is exactly the CSR gather order).
-    reach_order: List[int] = []
-    iterations = 0
-    stabilized = True
-    while changed.any():
-        if max_iterations is not None and iterations >= max_iterations:
-            stabilized = False
-            break
-        iterations += 1
-        announcers = np.flatnonzero(changed)
-        positions, senders, targets = gather_out_edges(
-            npc.indptr, npc.indices, announcers
-        )
-        run.tick()
-        run.charge_eids(npc.edge_eid[positions])
-        mask = ~skip_mask[targets]
-        cand_t = targets[mask]
-        changed = np.zeros(n, dtype=bool)
-        if not cand_t.size:
-            continue
-        cand_s = senders[mask]
-        cand_d = dist_s[cand_s] + w_scaled[positions[mask]]
-        assert_int64_bounds(cand_d, "bellman_ford distances")
-        cand_tr = tag_rank[cand_s]
-        # Reference keeps the first strictly-smaller (dist, tag repr,
-        # sender repr) candidate per target: lexsort with the target as
-        # the primary key, then take each target's first row.
-        order = np.lexsort((cand_s, cand_tr, cand_d, cand_t))
-        t_sorted = cand_t[order]
-        first = np.ones(t_sorted.size, dtype=bool)
-        first[1:] = t_sorted[1:] != t_sorted[:-1]
-        best_t = t_sorted[first]
-        best_d = cand_d[order][first]
-        best_tr = cand_tr[order][first]
-        best_s = cand_s[order][first]
-        cur_d = dist_s[best_t]
-        cur_tr = tag_rank[best_t]
-        accept = (best_d < cur_d) | ((best_d == cur_d) & (best_tr < cur_tr))
-        acc_t = best_t[accept]
-        if acc_t.size:
-            # Newly reached nodes enter the result dict in the order the
-            # reference first proposes to them this round. best_t is the
-            # sorted unique cand_t, so np.unique's first-occurrence
-            # indices align with it positionally.
-            new_mask = accept & (cur_d == UNREACHED)
-            if new_mask.any():
-                _, first_pos = np.unique(cand_t, return_index=True)
-                order_new = np.argsort(first_pos[new_mask], kind="stable")
-                reach_order.extend(best_t[new_mask][order_new].tolist())
-            dist_s[acc_t] = best_d[accept]
-            tag_rank[acc_t] = best_tr[accept]
-            tag_idx[acc_t] = tag_idx[best_s[accept]]
-            parent_rank[acc_t] = best_s[accept]
-            changed[acc_t] = True
+        dist_s = np.full(n, UNREACHED, dtype=np.int64)
+        tag_rank = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
+        tag_idx = np.full(n, -1, dtype=np.int64)
+        parent_rank = np.full(n, -1, dtype=np.int64)
+        source_mask = np.zeros(n, dtype=bool)
+        for i, (v, (d0, t)) in enumerate(source_items):
+            r = rank_of[v]
+            dist_s[r] = d0_values[i]
+            tag_rank[r] = repr_rank[tag_repr(t)]
+            tag_idx[r] = i
+            source_mask[r] = True
 
-    # --- materialize result dicts in the reference's exact insertion
-    # order: sources first (sources.items() order), then non-sources in
-    # first-reached order -------------------------------------------
-    order_nodes = npc.order
-    dist: Dict[Node, Any] = {}
-    tag: Dict[Node, Any] = {}
-    parent: Dict[Node, Optional[Node]] = {}
-    for i, (v, (d0, t)) in enumerate(source_items):
-        dist[v] = Fraction(d0)
-        tag[v] = t
-        parent[v] = None
-    for r in reach_order:
-        v = order_nodes[r]
-        dist[v] = Fraction(int(dist_s[r]), denom)
-        tag[v] = source_items[int(tag_idx[r])][1][1]
-        parent[v] = order_nodes[int(parent_rank[r])]
-    return BellmanFordResult(dist, tag, parent, iterations, stabilized)
+        blocked_mask = np.zeros(n, dtype=bool)
+        for v in blocked:
+            blocked_mask[rank_of[v]] = True
+        skip_mask = blocked_mask | source_mask
+
+        changed = source_mask.copy()
+        #: Ranks of non-source nodes in the order the reference first
+        #: inserts them into its dist dict (per round, first-proposal order
+        #: over announcers sorted by repr × neighbors sorted by repr — which
+        #: is exactly the CSR gather order).
+        reach_order: List[int] = []
+        iterations = 0
+        stabilized = True
+        while changed.any():
+            if max_iterations is not None and iterations >= max_iterations:
+                stabilized = False
+                break
+            iterations += 1
+            announcers = np.flatnonzero(changed)
+            positions, senders, targets = gather_out_edges(
+                npc.indptr, npc.indices, announcers
+            )
+            self.tick()
+            self.charge_eids(npc.edge_eid[positions])
+            mask = ~skip_mask[targets]
+            cand_t = targets[mask]
+            changed = np.zeros(n, dtype=bool)
+            if not cand_t.size:
+                continue
+            cand_s = senders[mask]
+            cand_d = dist_s[cand_s] + w_scaled[positions[mask]]
+            assert_int64_bounds(cand_d, "bellman_ford distances")
+            cand_tr = tag_rank[cand_s]
+            # Reference keeps the first strictly-smaller (dist, tag repr,
+            # sender repr) candidate per target: lexsort with the target as
+            # the primary key, then take each target's first row.
+            order = np.lexsort((cand_s, cand_tr, cand_d, cand_t))
+            t_sorted = cand_t[order]
+            first = np.ones(t_sorted.size, dtype=bool)
+            first[1:] = t_sorted[1:] != t_sorted[:-1]
+            best_t = t_sorted[first]
+            best_d = cand_d[order][first]
+            best_tr = cand_tr[order][first]
+            best_s = cand_s[order][first]
+            cur_d = dist_s[best_t]
+            cur_tr = tag_rank[best_t]
+            accept = (best_d < cur_d) | ((best_d == cur_d) & (best_tr < cur_tr))
+            acc_t = best_t[accept]
+            if acc_t.size:
+                # Newly reached nodes enter the result dict in the order the
+                # reference first proposes to them this round. best_t is the
+                # sorted unique cand_t, so np.unique's first-occurrence
+                # indices align with it positionally.
+                new_mask = accept & (cur_d == UNREACHED)
+                if new_mask.any():
+                    _, first_pos = np.unique(cand_t, return_index=True)
+                    order_new = np.argsort(first_pos[new_mask], kind="stable")
+                    reach_order.extend(best_t[new_mask][order_new].tolist())
+                dist_s[acc_t] = best_d[accept]
+                tag_rank[acc_t] = best_tr[accept]
+                tag_idx[acc_t] = tag_idx[best_s[accept]]
+                parent_rank[acc_t] = best_s[accept]
+                changed[acc_t] = True
+
+        # --- materialize result dicts in the reference's exact insertion
+        # order: sources first (sources.items() order), then non-sources in
+        # first-reached order -------------------------------------------
+        order_nodes = npc.order
+        dist: Dict[Node, Any] = {}
+        tag: Dict[Node, Any] = {}
+        parent: Dict[Node, Optional[Node]] = {}
+        for i, (v, (d0, t)) in enumerate(source_items):
+            dist[v] = Fraction(d0)
+            tag[v] = t
+            parent[v] = None
+        for r in reach_order:
+            v = order_nodes[r]
+            dist[v] = Fraction(int(dist_s[r]), denom)
+            tag[v] = source_items[int(tag_idx[r])][1][1]
+            parent[v] = order_nodes[int(parent_rank[r])]
+        return BellmanFordResult(dist, tag, parent, iterations, stabilized)
+
+    # -- tree primitives ---------------------------------------------------
+
+    def broadcast(self, tree: BFSTree, items: List[Any]) -> List[Any]:
+        """:func:`repro.congest.broadcast.pipelined_broadcast` as slices
+        of a static schedule.
+
+        The reference pipeline never stalls: a node at depth d receives
+        item k at the end of round d+k and forwards it in round d+k+1,
+        so round r carries exactly the child edges of internal nodes at
+        depths ``[r - m, r - 1]`` and the whole broadcast ticks
+        ``depth + m - 1`` rounds. The window over the depth axis is
+        contiguous, so each round's charge is one slice of the grouped
+        child-edge array.
+        """
+        child_eids, level_start = tree_broadcast_schedule(self.npc, tree)
+        m = len(items)
+        total_rounds = tree.depth + m - 1
+        max_parent_depth = tree.depth - 1
+        for r in range(1, total_rounds + 1):
+            self.tick()
+            lo = max(0, r - m)
+            hi = min(r - 1, max_parent_depth)
+            if lo <= hi:
+                self.charge_unique_eids(
+                    child_eids[int(level_start[lo]):int(level_start[hi + 1])]
+                )
+        return items
+
+    def convergecast(
+        self,
+        tree: BFSTree,
+        values: Dict[Node, Any],
+        combine: Callable[[Any, Any], Any],
+    ) -> Any:
+        """:func:`repro.congest.broadcast.tree_convergecast` on a static
+        schedule: the per-round sender sets are fixed by subtree heights,
+        so the rounds tick off slices of one precomputed edge-id array;
+        ``combine`` is applied in the identical (send round, bottom-up)
+        order as the reference loop.
+        """
+        acc = dict(values)
+        senders, eids, round_start = convergecast_schedule_numpy(self.npc, tree)
+        parent = tree.parent
+        for r in range(1, round_start.size):
+            start, stop = int(round_start[r - 1]), int(round_start[r])
+            self.tick()
+            self.charge_unique_eids(eids[start:stop])
+            for v in senders[start:stop]:
+                acc[parent[v]] = combine(acc[parent[v]], acc[v])
+        return acc[tree.root]
+
+    # -- moat radius growth ------------------------------------------------
+
+    def grow_radii(
+        self, leftover, owner, parent, sources, tree_owner, tree_parent, tree_dist, mu
+    ):
+        """:meth:`CongestRun.grow_radii` through :func:`apply_radius_growth`,
+        or the inherited python loops when the phase values cannot be
+        scaled."""
+        args = (leftover, owner, parent, sources, tree_owner, tree_parent, tree_dist, mu)
+        if not apply_radius_growth(self.npc, *args):
+            super().grow_radii(*args)
 
 
 # ---------------------------------------------------------------------
@@ -683,33 +696,6 @@ def tree_broadcast_schedule(npc: NumpyTopology, tree: Any):
     return child_eids, level_start
 
 
-def broadcast_items_numpy(tree: Any, items: List[Any], run: "NumpyCongestRun"):
-    """The numpy branch of :func:`repro.congest.broadcast.
-    broadcast_items`.
-
-    The reference pipeline never stalls: a node at depth d receives item
-    k at the end of round d+k and forwards it in round d+k+1, so round r
-    carries exactly the child edges of internal nodes at depths
-    ``[r - m, r - 1]`` and the whole broadcast ticks ``depth + m - 1``
-    rounds. The window over the depth axis is contiguous, so each
-    round's charge is one slice of the grouped child-edge array.
-    """
-    npc = run.npc
-    child_eids, level_start = tree_broadcast_schedule(npc, tree)
-    m = len(items)
-    total_rounds = tree.depth + m - 1
-    max_parent_depth = tree.depth - 1
-    for r in range(1, total_rounds + 1):
-        run.tick()
-        lo = max(0, r - m)
-        hi = min(r - 1, max_parent_depth)
-        if lo <= hi:
-            run.charge_unique_eids(
-                child_eids[int(level_start[lo]):int(level_start[hi + 1])]
-            )
-    return items
-
-
 def convergecast_schedule_numpy(npc: NumpyTopology, tree: Any):
     """Send rounds for :func:`repro.congest.broadcast.
     convergecast_aggregate`: node v sends to its parent in round
@@ -741,30 +727,6 @@ def convergecast_schedule_numpy(npc: NumpyTopology, tree: Any):
             eids.append(eid_of[canonical(v, tree.parent[v])])
         round_start[r] = len(senders)
     return senders, np.asarray(eids, dtype=np.int64), round_start
-
-
-def convergecast_aggregate_numpy(
-    tree: Any,
-    values: Dict[Any, Any],
-    combine: Callable[[Any, Any], Any],
-    run: "NumpyCongestRun",
-):
-    """The numpy branch of :func:`repro.congest.broadcast.
-    convergecast_aggregate`: the per-round sender sets are a static
-    schedule (subtree heights), so the rounds tick off slices of one
-    precomputed edge-id array; ``combine`` is applied in the identical
-    (send round, bottom-up) order as the reference loop.
-    """
-    acc = dict(values)
-    senders, eids, round_start = convergecast_schedule_numpy(run.npc, tree)
-    parent = tree.parent
-    for r in range(1, round_start.size):
-        start, stop = int(round_start[r - 1]), int(round_start[r])
-        run.tick()
-        run.charge_unique_eids(eids[start:stop])
-        for v in senders[start:stop]:
-            acc[parent[v]] = combine(acc[parent[v]], acc[v])
-    return acc[tree.root]
 
 
 # ---------------------------------------------------------------------
@@ -805,8 +767,9 @@ def scaled_reduced_weights(
     Computes ``max(0, w - Σ_endpoint min(w, leftover))`` per canonical
     edge, scaled by the leftovers' common denominator. Returns
     ``(per-edge scaled int64, denominator)`` or None when the leftovers
-    cannot be scaled within bounds (caller falls back to the python
-    reduced-weight callable).
+    cannot be scaled within bounds (the Bellman–Ford kernel then
+    evaluates the :class:`~repro.congest.bellman_ford.ReducedWeights`
+    callable per directed edge).
     """
     scaled = scale_fractions(list(leftover.values()))
     if scaled is None:
@@ -847,8 +810,8 @@ def apply_radius_growth(
     replicated per-node dicts. Returns False when the phase values
     cannot be scaled (caller runs the python loops instead).
 
-    Byte-identical to the reference loops in
-    :func:`repro.core.distributed.distributed_moat_growing`: the same
+    Byte-identical to the reference loops of
+    :meth:`repro.congest.run.CongestRun.grow_radii`: the same
     nodes grow (covered members of ``sources``), the same nodes absorb
     (non-sources with ``tree_dist ≤ µ``), with the same exact Fraction
     values (de-scaled from the int64 grid).

@@ -146,7 +146,7 @@ class Telemetry:
         ``--profile`` jobs and telemetry compose.
         """
         if profiler is None:
-            profiler = getattr(run, "profiler", None)
+            profiler = run.profiler
         bridge = LedgerBridge(self, run, inner=profiler)
         run.profiler = bridge
         self._bridges.append(bridge)
@@ -254,11 +254,12 @@ class LedgerBridge:
 
     @contextmanager
     def span(self, name: str) -> Iterator[None]:
-        """The profiler protocol's nested-span hook (``maybe_span`` in
-        the solvers' hot primitives). The bridge keeps bus narration at
-        ``set_phase`` granularity — a pipelined upcast span can fire
-        thousands of times per run, so per-span events would swamp the
-        stream — but an inner profiler still gets its span frames."""
+        """The profiler protocol's nested-span hook (``CongestRun.span``
+        in the solvers and their hot primitives). The bridge keeps bus
+        narration at ``set_phase`` granularity — a pipelined upcast span
+        can fire thousands of times per run, so per-span events would
+        swamp the stream — but an inner profiler still gets its span
+        frames."""
         if self._inner is not None and hasattr(self._inner, "span"):
             with self._inner.span(name):
                 yield

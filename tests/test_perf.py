@@ -409,15 +409,6 @@ class TestLedgerFastPathConformance:
         assert compiled.degree == {0: 1, 1: 2, 2: 1}
         assert compiled.canon[(1, 0)] == (0, 1)
         assert sum(compiled.full_counter.values()) == 4
-        # Tag reprs never collide across hash-equal types.
-        assert compiled.tag_repr(1) == "1"
-        assert compiled.tag_repr(True) == "True"
-
-    def test_fast_run_rejects_foreign_compilation(self):
-        graph_a = WeightedGraph([0, 1], [(0, 1, 1)])
-        graph_b = WeightedGraph([0, 1], [(0, 1, 2)])
-        with pytest.raises(ValueError):
-            FastCongestRun(graph_a, compiled=CompiledTopology(graph_b))
 
 
 #: Ledger fingerprints of the distributed and sublinear pipelines on

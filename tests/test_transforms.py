@@ -1,5 +1,10 @@
 """Tests for the DSF-CR ↔ DSF-IC transforms (Lemmas 2.3, 2.4)."""
 
+import hashlib
+import json
+import random
+
+import pytest
 
 from repro.congest import (
     CongestRun,
@@ -11,11 +16,14 @@ from repro.model import (
     ForestSolution,
     SteinerForestInstance,
 )
+from repro.engine.registry import GRAPH_FAMILIES
 from repro.model.transforms import (
     components_to_requests,
     minimalize_instance,
     requests_to_components,
 )
+from repro.perf import make_ledger_run
+from repro.simbackend import numpy_tier_available
 from tests.conftest import make_random_instance
 
 
@@ -109,3 +117,71 @@ class TestDistributedTransforms:
             got = sorted(sorted(c) for c in dist.components.values()
                          if len(c) >= 2)
             assert orig == got
+
+
+#: (family, params, seed, number of random requests) → (rounds, messages,
+#: digest of per-edge traffic, phase rounds and output labels), taken on
+#: the transform's original hand-written filtered upcast. Random request
+#: pairs close cycles in the demand forest, so the en-route Kruskal filter
+#: and the root-side re-filter both do work.
+TRANSFORM_PINS = [
+    (("grid", {"rows": 4, "cols": 5}, 1, 9),
+     (35, 270, "ea8216035be27cc53b341bb2571d3e3d8f2ae2b4bcd3af2af8838023d25e5100")),
+    (("grid", {"rows": 6, "cols": 6}, 2, 14),
+     (40, 615, "6d6832b5c2c77b6b1295e5d928d47040655bf28574c5d4e37bcf2f6a5d2bc449")),
+    (("gnp", {"n": 24, "p": 0.2}, 3, 12),
+     (26, 418, "dc0c690b1410a3fe5dcfb7f9b74c78842354a42e2769e358f4d71807b33fe2e7")),
+    (("gnp", {"n": 40, "p": 0.12}, 4, 25),
+     (44, 1195, "242957f3d10c431b70b62ae410d4a0ce9de74acf7babd77c567c79a877fb7476")),
+    (("caterpillar", {"spine": 8, "legs": 2}, 5, 10),
+     (48, 320, "6042130ea5d87be1917980ec109c1d0b29c08d9c5569c4a13401a9221d13da6e")),
+    (("caterpillar", {"spine": 12, "legs": 3}, 6, 30),
+     (78, 1498, "5104483911a220ef2a1fbf02c40620d49a626d651810f51aadaa749b9aee0d68")),
+]
+
+
+def _random_requests(family, params, seed, num_requests):
+    rng = random.Random(seed)
+    graph = GRAPH_FAMILIES[family].build(rng, **params)
+    nodes = list(graph.nodes)
+    requests = {}
+    for _ in range(num_requests):
+        v, w = rng.sample(nodes, 2)
+        requests.setdefault(v, set()).add(w)
+    return ConnectionRequestInstance(graph, requests)
+
+
+@pytest.mark.parametrize(
+    "tier",
+    [
+        "reference",
+        "flatarray",
+        pytest.param(
+            "numpy",
+            marks=pytest.mark.skipif(
+                not numpy_tier_available(),
+                reason="optional numpy extra not installed",
+            ),
+        ),
+    ],
+)
+@pytest.mark.parametrize(
+    ("case", "pin"), TRANSFORM_PINS, ids=[f"{c[0]}-{c[2]}" for c, _ in TRANSFORM_PINS]
+)
+def test_requests_to_components_pinned(case, pin, tier):
+    """Every ledger tier reproduces the pinned Lemma 2.3 execution."""
+    cr = _random_requests(*case)
+    run = make_ledger_run(tier, cr.graph)
+    ic = distributed_requests_to_components(cr, run)
+    assert ic.labels == requests_to_components(cr).labels
+    text = json.dumps(
+        [
+            sorted(run.edge_messages.items(), key=repr),
+            dict(run.phase_rounds),
+            sorted(ic.labels.items(), key=repr),
+        ],
+        sort_keys=True,
+        default=repr,
+    )
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert (run.rounds, run.messages, digest) == pin
