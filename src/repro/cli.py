@@ -70,7 +70,6 @@ from repro.lowerbounds import (
     random_disjointness_sets,
 )
 from repro.netmodel import NETWORK_MODELS, normalize_network
-from repro.perf import render_profile_report
 from repro.simbackend import BACKENDS, validate_backend
 from repro.workloads import TERMINAL_PLACEMENTS, random_instance
 
@@ -924,6 +923,8 @@ def _cmd_suite(args) -> int:
 
 
 def _cmd_profile(args) -> int:
+    from repro.telemetry import render_profile_report
+
     try:
         spec = REGISTRY.get(args.scenario)
     except KeyError as exc:
@@ -970,10 +971,12 @@ def _cmd_profile(args) -> int:
 
 
 def _instrumented_trace(args, backend: str) -> List[Dict[str, Any]]:
-    """Run the chosen ledger-narrating solver once with a telemetry bus
-    attached; returns the captured event stream (``repro trace``'s
-    fresh-run mode)."""
-    from repro.perf import make_ledger_run
+    """Run the chosen ledger-narrating solver once under a
+    :class:`~repro.perf.PhaseProfiler` and emit its rows onto a
+    telemetry bus; returns the captured event stream (``repro trace``'s
+    fresh-run mode). The profiler's clock covers the whole ``solve``
+    span, so the ``phase`` events add up to the solve's wall time."""
+    from repro.perf import PhaseProfiler, make_ledger_run
     from repro.telemetry import MemorySink, RunManifest, Telemetry
 
     algorithm = ALGORITHMS[args.algorithm]
@@ -998,10 +1001,12 @@ def _instrumented_trace(args, backend: str) -> List[Dict[str, Any]]:
     )
     with Telemetry(manifest=manifest, sinks=[sink]) as telemetry:
         run = make_ledger_run(backend, instance.graph)
-        bridge = telemetry.attach_ledger(run)
+        profiler = PhaseProfiler()
         with telemetry.span("solve", algorithm=args.algorithm, backend=backend):
+            profiler.attach(run)
             algorithm.run(instance, random.Random(args.seed), run=run)
-        bridge.finish()
+            profiler.finish()
+        telemetry.emit_profile(profiler.to_dict(run.bandwidth_bits))
     return sink.events
 
 

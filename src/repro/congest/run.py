@@ -58,6 +58,17 @@ def per_direction_violation(
     )
 
 
+def maybe_span(profiler: Optional[Any], name: str) -> ContextManager[None]:
+    """``profiler.span(name)`` when a profiler is present, else a
+    ``nullcontext()`` — the one no-op span rule, shared by
+    :meth:`CongestRun.span` and the centralized solvers that take a
+    profiler without a ledger. The unprofiled path allocates no
+    generator."""
+    if profiler is None:
+        return nullcontext()
+    return profiler.span(name)
+
+
 class CongestRun:
     """Accumulates rounds, messages and per-edge traffic for one execution.
 
@@ -95,10 +106,8 @@ class CongestRun:
 
     def span(self, name: str) -> ContextManager[None]:
         """A named wall-time span on the attached profiler; a no-op
-        context when none is attached."""
-        if self.profiler is None:
-            return nullcontext()
-        return self.profiler.span(name)
+        context when none is attached (:func:`maybe_span`)."""
+        return maybe_span(self.profiler, name)
 
     # ------------------------------------------------------------------
     # Phases (for per-step round breakdowns in experiments)

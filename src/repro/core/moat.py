@@ -27,10 +27,10 @@ benchmarks use it to verify the 2-approximation without exact solvers.
 from fractions import Fraction
 from typing import Any, Dict, FrozenSet, Hashable, List, Optional, Sequence, Set, Tuple
 
+from repro.congest.run import maybe_span
 from repro.model.graph import Edge, Node, canonical_edge
 from repro.model.instance import SteinerForestInstance
 from repro.model.solution import ForestSolution
-from repro.perf.profiler import maybe_span
 from repro.util import UnionFind
 
 

@@ -14,9 +14,9 @@ OPT ≥ dual_lower_bound / (1 + ε/2) (Corollary D.1).
 from fractions import Fraction
 from typing import Any, List, Optional, Union
 
+from repro.congest.run import maybe_span
 from repro.core.moat import MergeEvent, MoatGrowingResult, _MoatSystem
 from repro.model.instance import SteinerForestInstance
-from repro.perf.profiler import maybe_span
 
 
 def _as_fraction(value: Union[int, float, Fraction]) -> Fraction:

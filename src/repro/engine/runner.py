@@ -53,10 +53,11 @@ def execute_job(job_dict: Mapping[str, Any]) -> Dict[str, Any]:
     :class:`~repro.perf.FastCongestRun`, which changes wall time but —
     by the fast path's conformance pin — nothing observable: weights,
     rounds, messages, per-edge traffic, and cache-relevant outputs are
-    byte-identical to ``reference``. For message-level executions
-    (node-program scenarios, conformance suites, benchmarks) the axis
-    selects the simulator engine as before. Like the network axis, a
-    non-default backend hashes to its own cache key.
+    byte-identical to ``reference``. Solvers that take no ledger ignore
+    the axis: there is one message-level
+    :class:`~repro.congest.simulator.Simulator`, and it takes no
+    backend. Like the network axis, a non-default backend hashes to its
+    own cache key.
 
     With ``job.profile`` set, a :class:`~repro.perf.PhaseProfiler`
     rides along (attached to the ledger for run-accepting solvers, as

@@ -4,10 +4,13 @@ The ROADMAP's north star is a system that "runs as fast as the hardware
 allows"; this package is where the repo measures and then removes the
 cost of the paper's Steiner-forest pipeline:
 
-* :mod:`repro.perf.profiler` — :class:`PhaseProfiler`, the phase-level
-  rounds / messages / bytes / wall-time instrumentation attached to a
-  :class:`~repro.congest.run.CongestRun` (zero effect when detached —
-  results, round counts, and cache keys are pinned byte-identical).
+* :mod:`repro.perf.profiler` — :class:`PhaseProfiler`, the one
+  per-phase accountant: rounds / messages / bits / wall-time rows
+  attached to a :class:`~repro.congest.run.CongestRun` (zero effect
+  when detached — results, round counts, and cache keys are pinned
+  byte-identical). Stored records, ``repro profile`` and ``repro
+  trace`` all read its rows (:mod:`repro.telemetry.summary` renders
+  them).
 * :mod:`repro.perf.fastpath` — :class:`CompiledTopology` and
   :class:`FastCongestRun`, the flat-array ledger: it answers the
   :class:`~repro.congest.run.CongestRun` topology reads and bulk
@@ -27,19 +30,17 @@ cost of the paper's Steiner-forest pipeline:
 This package is the only one that knows tiers exist: the primitives
 (:mod:`repro.congest`) and solvers (:mod:`repro.core`) call the ledger's
 methods and never look at which ledger they hold.
-* :mod:`repro.perf.report` — the flame-style text report behind the
-  ``repro profile`` subcommand.
 
 The measured speedups live in ``BENCH_profile.json``
 (``benchmarks/bench_e18_profile.py``): the flatarray ledger is ≥ 2× the
-reference ledger on the full distributed pipeline at n ≥ 256, and
-``backend="auto"`` picks the winner per instance size while staying
-byte-identical to reference everywhere.
+reference ledger on the full distributed pipeline at n ≥ 256.
+``backend="auto"`` switches tiers at fixed node-count thresholds and
+stays byte-identical to reference everywhere; it does not always pick
+the faster tier (see ROADMAP.md).
 """
 
 from repro.perf.fastpath import CompiledTopology, FastCongestRun, make_ledger_run
-from repro.perf.profiler import PhaseProfiler, PhaseStats, maybe_span
-from repro.perf.report import render_profile_report
+from repro.perf.profiler import PhaseProfiler, PhaseStats
 
 try:  # The numpy tier is an optional extra: absence is not an error.
     from repro.perf.npkernels import NumpyCongestRun, NumpyTopology
@@ -55,6 +56,4 @@ __all__ = [
     "make_ledger_run",
     "PhaseProfiler",
     "PhaseStats",
-    "maybe_span",
-    "render_profile_report",
 ]

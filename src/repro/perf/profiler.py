@@ -22,7 +22,9 @@ Two attribution mechanisms compose:
 
 The structured output (:meth:`to_dict`) is what the experiment engine
 stores on profiled job records (schema v5) and what ``repro profile``
-renders as a flame-style text report (:mod:`repro.perf.report`).
+renders as a text table (:func:`repro.telemetry.render_profile_report`);
+``repro trace`` emits the same rows as ``phase`` events
+(:meth:`repro.telemetry.Telemetry.emit_profile`).
 """
 
 import time
@@ -104,8 +106,8 @@ class PhaseProfiler:
         Time until the first phase or span lands in the
         ``(unattributed)`` frame, so work a solver does before it
         narrates — e.g. an oracle query — cannot drop out of the
-        totals. Without a call, the clock starts at the first phase or
-        span.
+        totals. :meth:`attach` calls it; without either, the clock
+        starts at the first phase or span.
         """
         if self._last is None:
             self._last = self._clock()
@@ -114,9 +116,11 @@ class PhaseProfiler:
         """Hook this profiler into a :class:`~repro.congest.run.CongestRun`.
 
         Subsequent ``set_phase`` / ``tick`` / ``charge_*`` calls on the
-        run report to this profiler. Returns the run for chaining.
+        run report to this profiler, and the clock starts (:meth:`start`)
+        if it is not running yet. Returns the run for chaining.
         """
         run.profiler = self
+        self.start()
         return run
 
     # -- internal accounting ---------------------------------------------
@@ -180,29 +184,6 @@ class PhaseProfiler:
             if self._stack and self._stack[-1] == qualified:
                 self._stack.pop()
 
-    # -- reconstruction from a telemetry stream ---------------------------
-
-    @classmethod
-    def from_events(cls, events: Any) -> "PhaseProfiler":
-        """Rebuild a profiler from captured telemetry ``phase`` events.
-
-        The :class:`~repro.telemetry.LedgerBridge` narrates every phase
-        transition onto the bus with the same counters this class
-        collects, so the per-phase table is a *view over the event
-        stream*: ``PhaseProfiler.from_events(sink.events).to_dict()``
-        matches a directly-attached profiler's logical columns. Events
-        of other kinds are ignored; repeated phases accumulate.
-        """
-        profiler = cls()
-        for event in events:
-            if event.get("event") != "phase":
-                continue
-            frame = profiler._frame(event.get("phase", UNATTRIBUTED))
-            frame.rounds += int(event.get("rounds", 0))
-            frame.messages += int(event.get("messages", 0))
-            frame.wall_time += float(event.get("wall_time", 0.0))
-        return profiler
-
     # -- results ---------------------------------------------------------
 
     def finish(self) -> None:
@@ -233,17 +214,3 @@ class PhaseProfiler:
         if bandwidth_bits is not None:
             totals["bits"] = totals["messages"] * bandwidth_bits
         return {"phases": rows, "totals": totals}
-
-
-@contextmanager
-def maybe_span(profiler: Optional[PhaseProfiler], name: str) -> Iterator[None]:
-    """``profiler.span(name)`` when a profiler is present, else a no-op.
-
-    The instrumentation points in the solvers and primitives use this so
-    the unprofiled path stays allocation-free.
-    """
-    if profiler is None:
-        yield
-    else:
-        with profiler.span(name):
-            yield

@@ -8,9 +8,9 @@ structured layer that measures them across every execution surface:
   identity (run id, workload hash, backend/network, git describe) every
   stream attaches to.
 * :mod:`repro.telemetry.core` — :class:`Telemetry`, the event bus:
-  hierarchical spans, typed counters/gauges/histograms, and the
-  :class:`LedgerBridge` that narrates :class:`~repro.congest.run.
-  CongestRun` phases onto the bus through the existing profiler hook.
+  hierarchical spans, typed counters/gauges/histograms, and
+  :meth:`Telemetry.emit_profile`, which emits a finished
+  :class:`~repro.perf.PhaseProfiler`'s rows as ``phase`` events.
 * :mod:`repro.telemetry.sinks` — pluggable consumers: JSONL file,
   in-memory, human console (with the engine's historical progress
   strings as the compat rendering), and the bounded :class:`RingSink`.
@@ -19,8 +19,10 @@ structured layer that measures them across every execution surface:
 * :mod:`repro.telemetry.flight` — the crash :class:`FlightRecorder`:
   a ring of recent events auto-dumped to JSONL on pool rebuilds,
   terminal job failures, daemon errors, and SIGTERM drain.
-* :mod:`repro.telemetry.summary` — per-phase rounds/messages/bits
-  tables and logical-metric diffs over event streams (``repro trace``).
+* :mod:`repro.telemetry.summary` — the one per-phase text table
+  (rounds / messages / bits / wall / share) behind ``repro profile``
+  and ``repro trace summary``, and logical-metric diffs over event
+  streams (``repro trace diff``).
 * :mod:`repro.telemetry.report_html` — self-contained HTML run reports
   (manifest, phase table, congestion heatmap, metrics snapshot) from
   any captured stream (``repro report --html``).
@@ -39,7 +41,7 @@ from repro.telemetry.benchcheck import (
     check_bench_file,
     check_benches,
 )
-from repro.telemetry.core import LedgerBridge, Telemetry
+from repro.telemetry.core import Telemetry
 from repro.telemetry.expose import metric_name, render_json, render_prometheus
 from repro.telemetry.flight import FlightRecorder, latest_dump
 from repro.telemetry.manifest import (
@@ -72,6 +74,8 @@ from repro.telemetry.summary import (
     diff_streams,
     manifest_of,
     phase_rows,
+    render_phase_table,
+    render_profile_report,
     render_summary,
     totals_of,
 )
@@ -87,7 +91,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "JsonlSink",
-    "LedgerBridge",
     "MemorySink",
     "MetricsRegistry",
     "RingSink",
@@ -110,6 +113,8 @@ __all__ = [
     "read_events",
     "render_html_report",
     "render_json",
+    "render_phase_table",
+    "render_profile_report",
     "render_prometheus",
     "render_summary",
     "totals_of",

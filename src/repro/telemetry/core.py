@@ -14,19 +14,16 @@ results, same ledger accounting, same result-store cache keys. The bus
 only ever *observes*; instrumentation points throughout the repo accept
 ``Optional[Telemetry]`` and pay one ``is not None`` check when detached.
 
-Ledger integration reuses the :class:`~repro.congest.run.CongestRun`
-profiler hook: :meth:`Telemetry.attach_ledger` installs a
-:class:`LedgerBridge` that narrates ``set_phase``/``tick``/``charge_*``
-as ``phase`` events on the bus (and forwards to a wrapped
-:class:`~repro.perf.PhaseProfiler` when one rides along), making the
-profiler a view over the bus rather than a parallel collector —
-:func:`repro.perf.PhaseProfiler.from_events` rebuilds the per-phase
-table from any captured stream.
+The bus keeps no ledger accounts of its own. A
+:class:`~repro.perf.PhaseProfiler` is the one object on a
+:class:`~repro.congest.run.CongestRun`'s profiler hook;
+:meth:`Telemetry.emit_profile` emits its finished rows as ``phase``
+events, the same rows a profiled job record stores.
 """
 
 import time
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Mapping, Optional
 
 from repro.telemetry.manifest import RunManifest
 from repro.telemetry.metrics import Counter, Gauge, Histogram, MetricsRegistry
@@ -57,7 +54,6 @@ class Telemetry:
         self._t0 = clock()
         self._cpu0 = time.process_time()
         self._span_stack: List[str] = []
-        self._bridges: List["LedgerBridge"] = []
         self.closed = False
         for sink in sinks:
             self.add_sink(sink)
@@ -136,21 +132,19 @@ class Telemetry:
 
     # -- ledger integration ----------------------------------------------
 
-    def attach_ledger(self, run: Any, profiler: Any = None) -> "LedgerBridge":
-        """Narrate a ledger's phases onto the bus.
+    def emit_profile(self, profile: Mapping[str, Any]) -> None:
+        """Emit a finished profile's rows as ``phase`` events.
 
-        Installs a :class:`LedgerBridge` as ``run.profiler`` (the same
-        single hook :meth:`repro.perf.PhaseProfiler.attach` uses); when
-        a profiler is passed — or one is already attached to the run —
-        it keeps receiving every callback through the bridge, so
-        ``--profile`` jobs and telemetry compose.
+        ``profile`` is :meth:`repro.perf.PhaseProfiler.to_dict` output:
+        each row (phase, rounds, messages, wall_time, and bits when B
+        was known) becomes one ``phase`` event, field for field, and its
+        rounds and messages are added to the ``ledger.rounds`` /
+        ``ledger.messages`` counters.
         """
-        if profiler is None:
-            profiler = run.profiler
-        bridge = LedgerBridge(self, run, inner=profiler)
-        run.profiler = bridge
-        self._bridges.append(bridge)
-        return bridge
+        for row in profile["phases"]:
+            self.emit("phase", **row)
+            self.counter("ledger.rounds").inc(row["rounds"])
+            self.counter("ledger.messages").inc(row["messages"])
 
     # -- lifecycle -------------------------------------------------------
 
@@ -165,12 +159,10 @@ class Telemetry:
             sink.flush()
 
     def close(self) -> None:
-        """Flush phase bridges, snapshot metrics, emit ``run_end`` with
-        wall/cpu totals, and close every sink (idempotent)."""
+        """Snapshot metrics, emit ``run_end`` with wall/cpu totals, and
+        close every sink (idempotent)."""
         if self.closed:
             return
-        for bridge in self._bridges:
-            bridge.finish()
         if len(self.metrics):
             self.emit("metrics", **self.metrics.snapshot())
         self.emit(
@@ -189,91 +181,3 @@ class Telemetry:
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
 
-
-class LedgerBridge:
-    """Adapts the :class:`~repro.congest.run.CongestRun` profiler hook
-    onto the bus.
-
-    Implements the profiler protocol (``switch_phase`` / ``add_rounds``
-    / ``add_messages``): each phase transition emits one ``phase`` event
-    with the closed phase's rounds, messages, derived bits (messages ×
-    the ledger's B), and wall seconds, and bumps the bus-level
-    ``ledger.rounds`` / ``ledger.messages`` counters. An optional inner
-    profiler receives every callback unchanged, so a
-    :class:`~repro.perf.PhaseProfiler` riding on a profiled job keeps
-    collecting exactly what it would standalone.
-    """
-
-    def __init__(self, telemetry: Telemetry, run: Any, inner: Any = None) -> None:
-        self._telemetry = telemetry
-        self._run = run
-        self._inner = inner
-        self._phase: Optional[str] = None
-        self._rounds = 0
-        self._messages = 0
-        self._started = telemetry._clock()
-        self._finished = False
-
-    def _flush_phase(self, next_phase: Optional[str]) -> None:
-        now = self._telemetry._clock()
-        if self._phase is not None or self._rounds or self._messages:
-            bandwidth = getattr(self._run, "bandwidth_bits", None)
-            self._telemetry.emit(
-                "phase",
-                phase=self._phase if self._phase is not None else "(unattributed)",
-                rounds=self._rounds,
-                messages=self._messages,
-                bits=(
-                    self._messages * bandwidth if bandwidth is not None else None
-                ),
-                wall_time=round(now - self._started, 6),
-            )
-            self._telemetry.counter("ledger.rounds").inc(self._rounds)
-            self._telemetry.counter("ledger.messages").inc(self._messages)
-        self._phase = next_phase
-        self._rounds = 0
-        self._messages = 0
-        self._started = now
-
-    # -- the CongestRun profiler protocol --------------------------------
-
-    def switch_phase(self, name: Optional[str]) -> None:
-        self._flush_phase(name)
-        if self._inner is not None:
-            self._inner.switch_phase(name)
-
-    def add_rounds(self, rounds: int) -> None:
-        self._rounds += rounds
-        if self._inner is not None:
-            self._inner.add_rounds(rounds)
-
-    def add_messages(self, count: int) -> None:
-        self._messages += count
-        if self._inner is not None:
-            self._inner.add_messages(count)
-
-    @contextmanager
-    def span(self, name: str) -> Iterator[None]:
-        """The profiler protocol's nested-span hook (``CongestRun.span``
-        in the solvers and their hot primitives). The bridge keeps bus
-        narration at ``set_phase`` granularity — a pipelined upcast span
-        can fire thousands of times per run, so per-span events would
-        swamp the stream — but an inner profiler still gets its span
-        frames."""
-        if self._inner is not None and hasattr(self._inner, "span"):
-            with self._inner.span(name):
-                yield
-        else:
-            yield
-
-    # -- lifecycle -------------------------------------------------------
-
-    def finish(self) -> None:
-        """Emit the final open phase (idempotent; driven by
-        :meth:`Telemetry.close` or called directly after a solve)."""
-        if self._finished:
-            return
-        self._finished = True
-        self._flush_phase(None)
-        if self._inner is not None and hasattr(self._inner, "finish"):
-            self._inner.finish()

@@ -3,10 +3,10 @@
 ``repro report --html`` renders any captured JSONL stream — a sweep, a
 profile run, a daemon session — into one static HTML file with no
 external assets (inline CSS only, no CDN, no web fonts): a manifest
-header, the per-phase rounds/messages/bits table (the same reduction as
-``repro trace summary`` / :meth:`repro.perf.PhaseProfiler.from_events`),
-a per-phase × round-bin message-volume congestion heatmap, and the
-final metrics snapshot. The artifact is meant to be attached to CI runs
+header, the per-phase rounds/messages/bits table (the same
+:func:`~repro.telemetry.summary.phase_rows` reduction as ``repro trace
+summary``), a per-phase × round-bin message-volume congestion heatmap,
+and the final metrics snapshot. The artifact is meant to be attached to CI runs
 and mailed around, so everything must work from ``file://``.
 
 Heatmap encoding: magnitude → a single-hue sequential blue ramp

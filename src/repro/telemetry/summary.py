@@ -1,13 +1,18 @@
-"""Phase tables and run diffs over telemetry event streams.
+"""Phase tables and run diffs over profile rows and event streams.
 
-The ``repro trace`` subcommand's logic: reduce a captured (or loaded)
-event stream to the per-phase rounds / messages / bits table that
-mirrors the paper's complexity accounting, and diff two streams'
-*logical* metrics — the deterministic columns that must agree across
-ledger engines and code versions, wall time explicitly excluded.
+A row is one :meth:`repro.perf.PhaseProfiler.to_dict` frame — phase,
+rounds, messages, bits, wall time — whether it comes from a stored
+record's ``profile`` field or from a stream's ``phase`` events
+(:meth:`repro.telemetry.Telemetry.emit_profile`). One text table
+(:func:`render_phase_table`) renders rows for both ``repro profile``
+(:func:`render_profile_report`, per-job means over record groups) and
+``repro trace summary`` (:func:`render_summary`, headed by the run
+manifest). :func:`diff_streams` compares two streams' *logical*
+metrics — the deterministic columns that must agree across ledger
+tiers and code versions, wall time explicitly excluded.
 """
 
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 #: The deterministic per-phase columns (wall time is environment noise
 #: and never part of a diff verdict).
@@ -22,15 +27,13 @@ def manifest_of(events: Sequence[Mapping[str, Any]]) -> Optional[Dict[str, Any]]
     return None
 
 
-def phase_rows(events: Sequence[Mapping[str, Any]]) -> List[Dict[str, Any]]:
-    """Per-phase rows from a stream's ``phase`` events, merged in
-    first-seen order (a phase re-entered later accumulates)."""
+def _merge_rows(rows: Iterable[Mapping[str, Any]]) -> List[Dict[str, Any]]:
+    """Rows summed per phase in first-seen order; a missing or null
+    counter reads as 0."""
     order: List[str] = []
     acc: Dict[str, Dict[str, Any]] = {}
-    for event in events:
-        if event.get("event") != "phase":
-            continue
-        name = str(event.get("phase", "(unattributed)"))
+    for source in rows:
+        name = str(source.get("phase", "(unattributed)"))
         row = acc.get(name)
         if row is None:
             row = acc[name] = {
@@ -38,11 +41,17 @@ def phase_rows(events: Sequence[Mapping[str, Any]]) -> List[Dict[str, Any]]:
                 "bits": 0, "wall_time": 0.0,
             }
             order.append(name)
-        row["rounds"] += event.get("rounds", 0) or 0
-        row["messages"] += event.get("messages", 0) or 0
-        row["bits"] += event.get("bits", 0) or 0
-        row["wall_time"] += event.get("wall_time", 0.0) or 0.0
+        row["rounds"] += source.get("rounds", 0) or 0
+        row["messages"] += source.get("messages", 0) or 0
+        row["bits"] += source.get("bits", 0) or 0
+        row["wall_time"] += source.get("wall_time", 0.0) or 0.0
     return [acc[name] for name in order]
+
+
+def phase_rows(events: Sequence[Mapping[str, Any]]) -> List[Dict[str, Any]]:
+    """Per-phase rows from a stream's ``phase`` events, merged in
+    first-seen order (a phase re-entered later accumulates)."""
+    return _merge_rows(e for e in events if e.get("event") == "phase")
 
 
 def totals_of(rows: Sequence[Mapping[str, Any]]) -> Dict[str, Any]:
@@ -54,11 +63,71 @@ def totals_of(rows: Sequence[Mapping[str, Any]]) -> Dict[str, Any]:
     }
 
 
+#: Width of the wall-share bar (characters at 100%).
+BAR_WIDTH = 28
+
+#: Minimum width of the phase column, so every table shares one header.
+PHASE_WIDTH = 28
+
+
+def _nesting(name: str, names: Set[str]) -> Tuple[int, str]:
+    """(depth, label) of a row: a span path nests one level under each
+    ancestor that is itself a row and shows the rest of its path, so
+    ``phase-1/bellman-ford`` reads ``bellman-ford`` under ``phase-1``
+    while ``oracle/spd``, with no ``oracle`` row, keeps its name."""
+    parts = name.split("/")
+    for cut in range(len(parts) - 1, 0, -1):
+        parent = "/".join(parts[:cut])
+        if parent in names:
+            return _nesting(parent, names)[0] + 1, "/".join(parts[cut:])
+    return 0, name
+
+
+def _count(value: Any) -> str:
+    """Integers print exactly; group means keep one decimal."""
+    return f"{value:.1f}" if isinstance(value, float) else str(value)
+
+
+def render_phase_table(rows: Sequence[Mapping[str, Any]]) -> List[str]:
+    """The phase table both ``repro profile`` and ``repro trace summary``
+    print: one line per row (span paths indented under their phase)
+    with rounds, messages, bits, wall seconds, the wall share and a bar
+    proportional to it, then a totals line. Rows are
+    :meth:`repro.perf.PhaseProfiler.to_dict` rows, one per phase."""
+    names = {row["phase"] for row in rows}
+    labels = []
+    for row in rows:
+        depth, label = _nesting(row["phase"], names)
+        labels.append("  " * depth + label)
+    width = max([PHASE_WIDTH] + [len(label) for label in labels])
+    totals = totals_of(rows)
+    total_wall = totals["wall_time"] or 1.0
+
+    def counters(label: str, row: Mapping[str, Any]) -> str:
+        return (
+            f"{label.ljust(width)} {_count(row['rounds']):>9s} "
+            f"{_count(row['messages']):>10s} {_count(row['bits']):>12s} "
+            f"{row['wall_time']:9.4f}"
+        )
+
+    lines = [
+        f"{'phase'.ljust(width)} {'rounds':>9s} {'messages':>10s} "
+        f"{'bits':>12s} {'wall s':>9s} {'share':>6s}"
+    ]
+    for label, row in zip(labels, rows):
+        share = row["wall_time"] / total_wall
+        bar = "█" * max(int(round(share * BAR_WIDTH)), 1 if share > 0 else 0)
+        lines.append(f"{counters(label, row)} {share:6.1%} {bar}".rstrip())
+    lines.append(counters("total", totals))
+    return lines
+
+
 def render_summary(
     events: Sequence[Mapping[str, Any]], title: str = ""
 ) -> str:
-    """The ``repro trace summary`` table: per-phase rounds / messages /
-    bits / wall seconds plus totals, headed by the run manifest."""
+    """The ``repro trace summary`` view: the run manifest, then the
+    phase table (:func:`render_phase_table`) of the stream's ``phase``
+    events."""
     manifest = manifest_of(events)
     rows = phase_rows(events)
     lines = []
@@ -78,24 +147,58 @@ def render_summary(
     if not rows:
         lines.append("no phase events in this stream")
         return "\n".join(lines)
-    width = max([len(r["phase"]) for r in rows] + [len("phase"), len("total")])
-    lines.append(
-        f"{'phase'.ljust(width)} {'rounds':>8s} {'messages':>10s} "
-        f"{'bits':>12s} {'wall s':>9s}"
-    )
-    for row in rows:
-        lines.append(
-            f"{row['phase'].ljust(width)} {row['rounds']:8d} "
-            f"{row['messages']:10d} {row['bits']:12d} "
-            f"{row['wall_time']:9.4f}"
-        )
-    totals = totals_of(rows)
-    lines.append(
-        f"{'total'.ljust(width)} {totals['rounds']:8d} "
-        f"{totals['messages']:10d} {totals['bits']:12d} "
-        f"{totals['wall_time']:9.4f}"
-    )
+    lines.extend(render_phase_table(rows))
     return "\n".join(lines)
+
+
+def _merge_profiles(profiles: List[Mapping[str, Any]]) -> List[Dict[str, Any]]:
+    """Average per-phase counters across several job profiles.
+
+    Phases keep first-seen order (executions of one pipeline narrate
+    their phases in the same order; stragglers appear where first seen).
+    Sums divide by the *group* size, not by how many jobs reached the
+    phase — a phase only the largest grid point executes contributes its
+    per-group mean, so "mean per job" holds for every row and the group
+    totals equal the mean per-job totals.
+    """
+    jobs = max(1, len(profiles))
+    rows = _merge_rows(row for profile in profiles for row in profile.get("phases", []))
+    for row in rows:
+        for column in ("rounds", "messages", "bits", "wall_time"):
+            row[column] /= jobs
+    return rows
+
+
+def render_profile_report(records: Sequence[Mapping[str, Any]]) -> str:
+    """The ``repro profile`` view: profiled job records (the ``profile``
+    field :func:`repro.engine.runner.execute_job` stores) grouped by
+    (scenario, algorithm, backend), each group one phase table
+    (:func:`render_phase_table`) of per-job means. Records without a
+    ``profile`` are ignored; an all-unprofiled input renders a hint
+    instead of nothing."""
+    groups: Dict[Tuple[str, str, str], List[Mapping[str, Any]]] = {}
+    for record in records:
+        if not record.get("profile"):
+            continue
+        group = (
+            str(record.get("scenario", "?")),
+            str(record.get("algorithm", "?")),
+            str(record.get("backend_name", "reference")),
+        )
+        groups.setdefault(group, []).append(record)
+    if not groups:
+        return "no profiled records (run with profiling enabled)"
+
+    sections = []
+    for (scenario, algorithm, backend), group in sorted(groups.items()):
+        rows = _merge_profiles([r["profile"] for r in group])
+        heading = (
+            f"== profile: {scenario} · {algorithm} · backend={backend} "
+            f"({len(group)} job{'s' if len(group) != 1 else ''}, "
+            f"mean per job) =="
+        )
+        sections.append("\n".join([heading] + render_phase_table(rows)))
+    return "\n\n".join(sections)
 
 
 def diff_streams(

@@ -5,7 +5,8 @@ solvers) reach every tier-specific kernel through the
 :class:`~repro.congest.run.CongestRun` methods a tier overrides; only
 ``repro.perf`` knows that tiers exist. This test parses every module of
 the two packages and fails on any identifier, import or docstring word
-that names a tier's machinery, and on any ``getattr(run, ...)`` probe.
+that names a tier's machinery, on any ``getattr(run, ...)`` probe, and on
+any import from ``repro.perf``.
 """
 
 import ast
@@ -71,6 +72,19 @@ def _violations(tree):
                 yield getattr(node, "lineno", 0), name
 
 
+def _perf_imports(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        elif isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        else:
+            continue
+        for module in modules:
+            if module == "repro.perf" or module.startswith("repro.perf."):
+                yield node.lineno, module
+
+
 def test_modules_found():
     assert len(MODULES) >= 10
 
@@ -81,4 +95,13 @@ def test_modules_found():
 def test_paper_code_names_no_tier(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     found = sorted(set(_violations(tree)))
+    assert not found, f"{path.parent.name}/{path.name}: {found}"
+
+
+@pytest.mark.parametrize(
+    "path", MODULES, ids=[f"{p.parent.name}/{p.name}" for p in MODULES]
+)
+def test_paper_code_imports_nothing_from_perf(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = sorted(set(_perf_imports(tree)))
     assert not found, f"{path.parent.name}/{path.name}: {found}"

@@ -19,13 +19,14 @@ Three contracts are pinned here:
 import hashlib
 import json
 import random
+from contextlib import nullcontext
 from pathlib import Path
 
 import pytest
 
 from repro.congest.bfs import build_bfs_tree
 from repro.congest.broadcast import broadcast_items, upcast_items
-from repro.congest.run import CongestRun
+from repro.congest.run import CongestRun, maybe_span
 from repro.core.distributed import distributed_moat_growing
 from repro.core.moat import moat_growing
 from repro.core.sublinear import sublinear_moat_growing
@@ -41,8 +42,6 @@ from repro.perf import (
     FastCongestRun,
     PhaseProfiler,
     make_ledger_run,
-    maybe_span,
-    render_profile_report,
 )
 from repro.simbackend import (
     AUTO_THRESHOLD_NODES,
@@ -50,6 +49,7 @@ from repro.simbackend import (
     choose_engine_name,
     numpy_tier_available,
 )
+from repro.telemetry import render_profile_report
 from repro.workloads import random_instance
 
 requires_numpy = pytest.mark.skipif(
@@ -176,10 +176,27 @@ class TestPhaseProfiler:
         assert by_name["setup"].rounds == 3
         assert by_name["whole-solve"].rounds == 0
 
+    def test_attach_starts_the_clock(self):
+        # Time between attach and the first phase is reported, not
+        # dropped: attach at t=0, first phase at t=5, finish at t=6.
+        now = [0.0]
+        profiler = PhaseProfiler(clock=lambda: now[0])
+        run = CongestRun(WeightedGraph([0, 1], [(0, 1, 1)]))
+        profiler.attach(run)
+        now[0] = 5.0
+        run.set_phase("alpha")
+        now[0] = 6.0
+        profiler.finish()
+        by_name = {s.name: s.wall_time for s in profiler.phases}
+        assert by_name == {"(unattributed)": 5.0, "alpha": 1.0}
+
     def test_maybe_span_without_profiler_is_noop(self):
         with maybe_span(None, "anything"):
             value = 42
         assert value == 42
+        # The unprofiled path allocates no generator context manager.
+        assert isinstance(maybe_span(None, "anything"), nullcontext)
+        assert isinstance(CongestRun(WeightedGraph([0], [])).span("x"), nullcontext)
 
     def test_render_profile_report_smoke(self):
         profiler = PhaseProfiler(clock=FakeClock())

@@ -7,11 +7,11 @@ Four contracts are pinned here:
    engine records and result-store cache keys are byte-identical to the
    seed (the schema v1–v5 key for an unprofiled job is pinned as a
    literal), and attaching a bus changes no logical output.
-2. **The bridge is exact** — ``LedgerBridge`` phase events reproduce the
-   ledger's own per-phase accounting, an inner ``PhaseProfiler`` riding
-   the bridge collects exactly what it would standalone, and
-   ``PhaseProfiler.from_events`` rebuilds the same table from the
-   stream.
+2. **One accountant** — the ``phase`` events
+   ``Telemetry.emit_profile`` emits are the ``PhaseProfiler`` rows
+   field for field, they reproduce the ledger's own per-phase
+   accounting, and a fresh ``repro trace`` run's phase events add up
+   to the solve's wall time.
 3. **Bounded overhead** — an instrumented pipeline run at n=64 stays
    inside a pinned event-count envelope (phase-granular narration, not
    per-message) and a generous wall-time envelope.
@@ -87,15 +87,17 @@ def _spec(name="tele-spec", algorithms=("distributed",)):
 
 
 def _instrumented_pipeline(n, backend="reference"):
-    """One distributed pipeline run narrated onto a fresh bus; returns
-    (events, result, run)."""
+    """One profiled distributed pipeline run emitted onto a fresh bus;
+    returns (events, result, run)."""
     instance = random_instance(n, 3, random.Random(n), p=0.35)
     bus, sink = _memory_bus(workload={"n": n})
     with bus:
         run = make_ledger_run(backend, instance.graph)
-        bridge = bus.attach_ledger(run)
+        profiler = PhaseProfiler()
+        profiler.attach(run)
         result = distributed_moat_growing(instance, run=run)
-        bridge.finish()
+        profiler.finish()
+        bus.emit_profile(profiler.to_dict(run.bandwidth_bits))
     return sink.events, result, run
 
 
@@ -221,19 +223,21 @@ class TestTelemetryBus:
         assert line == "[s] job 1/2 FAILED: moat (ValueError('x'))"
 
 
-class TestLedgerBridge:
+class TestEmitProfile:
     def test_phase_events_match_ledger_accounting(self):
         graph = random_connected_graph(8, 0.5, random.Random(1))
         run = CongestRun(graph)
         bus, sink = _memory_bus()
-        bridge = bus.attach_ledger(run)
+        profiler = PhaseProfiler()
+        profiler.attach(run)
         run.set_phase("a")
         run.tick()
         run.charge_messages([(u, v) for u, v, _ in graph.edges()])
         run.set_phase("b")
         run.tick()
         run.tick()
-        bridge.finish()
+        profiler.finish()
+        bus.emit_profile(profiler.to_dict(run.bandwidth_bits))
         bus.close()
         phases = {
             e["phase"]: e for e in sink.events if e["event"] == "phase"
@@ -247,55 +251,56 @@ class TestLedgerBridge:
         assert metrics["counters"]["ledger.rounds"] == run.rounds
         assert metrics["counters"]["ledger.messages"] == run.messages
 
-    def test_bridge_does_not_change_solver_output(self):
+    def test_profiler_does_not_change_solver_output(self):
         instance = random_instance(16, 3, random.Random(7), p=0.4)
         plain = distributed_moat_growing(
             instance, run=CongestRun(instance.graph)
         )
-        events, bridged, run = (None, None, None)
         bus, sink = _memory_bus()
         with bus:
             run = CongestRun(instance.graph)
-            bus.attach_ledger(run)
-            bridged = distributed_moat_growing(instance, run=run)
-        assert plain.solution.weight == bridged.solution.weight
+            profiler = PhaseProfiler()
+            profiler.attach(run)
+            profiled = distributed_moat_growing(instance, run=run)
+            profiler.finish()
+            bus.emit_profile(profiler.to_dict(run.bandwidth_bits))
+        assert plain.solution.weight == profiled.solution.weight
         assert sorted(plain.solution.edges, key=repr) == sorted(
-            bridged.solution.edges, key=repr
+            profiled.solution.edges, key=repr
         )
-        assert plain.rounds == bridged.rounds
-        assert plain.run.messages == bridged.run.messages
-        assert dict(plain.run.phase_rounds) == dict(bridged.run.phase_rounds)
+        assert plain.rounds == profiled.rounds
+        assert plain.run.messages == profiled.run.messages
+        assert dict(plain.run.phase_rounds) == dict(profiled.run.phase_rounds)
 
-    def test_inner_profiler_composes_and_from_events_matches(self):
+    def test_phase_events_are_the_profile_rows(self):
         instance = random_instance(16, 3, random.Random(7), p=0.4)
         run = CongestRun(instance.graph)
-        inner = PhaseProfiler()
-        inner.attach(run)
+        profiler = PhaseProfiler()
+        profiler.attach(run)
         bus, sink = _memory_bus()
         with bus:
-            bridge = bus.attach_ledger(run)
             distributed_moat_growing(instance, run=run)
-            bridge.finish()
-        # The wrapped profiler collected through the bridge; the stream
-        # rebuilds the same logical table. The profiler splits charges
-        # into span sub-frames ("phase-1/bellman-ford") while the bus
-        # narrates at set_phase granularity, so aggregate by top-level
-        # phase before comparing.
-        rebuilt = PhaseProfiler.from_events(sink.events)
-        aggregated = {}
-        for row in inner.to_dict()["phases"]:
+            profiler.finish()
+            profile = profiler.to_dict(run.bandwidth_bits)
+            bus.emit_profile(profile)
+        envelope = ("event", "run_id", "seq", "t")
+        emitted = [
+            {k: v for k, v in e.items() if k not in envelope}
+            for e in sink.events
+            if e["event"] == "phase"
+        ]
+        assert emitted == profile["phases"]
+        # The profiler charges each round to the innermost frame, so
+        # span rows ("phase-1/bellman-ford") partition their phase's
+        # rounds: folded by top-level phase they are the ledger's own
+        # per-phase breakdown.
+        folded = {}
+        for row in emitted:
             top = row["phase"].split("/")[0]
-            acc = aggregated.setdefault(top, [0, 0])
-            acc[0] += row["rounds"]
-            acc[1] += row["messages"]
-        inner_rows = {
-            (phase, acc[0], acc[1]) for phase, acc in aggregated.items()
+            folded[top] = folded.get(top, 0) + row["rounds"]
+        assert {k: v for k, v in folded.items() if v} == {
+            k: v for k, v in run.phase_rounds.items() if v
         }
-        assert inner_rows == set(_logical_profile(rebuilt.to_dict()))
-        phase_rounds = {
-            r["phase"]: r["rounds"] for r in rebuilt.to_dict()["phases"]
-        }
-        assert phase_rounds == dict(run.phase_rounds)
 
 
 class TestDetachedIdentity:
@@ -368,9 +373,13 @@ class TestOverheadEnvelope:
             run = CongestRun(instance.graph)
             bus = Telemetry(sinks=[MemorySink()]) if attach else None
             started = time.perf_counter()
-            if bus is not None:
-                bus.attach_ledger(run)
+            profiler = PhaseProfiler() if attach else None
+            if profiler is not None:
+                profiler.attach(run)
             distributed_moat_growing(instance, run=run)
+            if profiler is not None:
+                profiler.finish()
+                bus.emit_profile(profiler.to_dict(run.bandwidth_bits))
             elapsed = time.perf_counter() - started
             if bus is not None:
                 bus.close()
@@ -379,7 +388,8 @@ class TestOverheadEnvelope:
         solve(False)  # warm caches
         detached = min(solve(False) for _ in range(3))
         attached = min(solve(True) for _ in range(3))
-        # Generous CI-proof envelope: the bridge adds O(phases) work.
+        # Generous CI-proof envelope: the profiler adds O(1) work per
+        # charge and emitting adds O(rows).
         assert attached <= detached * 5 + 0.5
 
 
@@ -506,6 +516,78 @@ class TestCli:
         assert main(["trace", "summary", "--n", "24"]) == 0
         out = capsys.readouterr().out
         assert "trace summary" in out and "total" in out
+
+    @pytest.mark.parametrize("algorithm", ["distributed", "sublinear"])
+    @pytest.mark.parametrize("backend", ["reference", "numpy"])
+    def test_trace_phase_wall_adds_up_to_solve(self, algorithm, backend):
+        """A fresh ``repro trace`` run loses no time: its ``phase``
+        events add up to the ``solve`` span's wall time, including the
+        oracle and central-schedule work ``sublinear`` does before its
+        first phase."""
+        from repro.cli import _build_parser, _instrumented_trace
+        from repro.simbackend import numpy_tier_available
+
+        if backend == "numpy" and not numpy_tier_available():
+            pytest.skip("optional numpy extra not installed")
+        args = _build_parser().parse_args(
+            ["trace", "summary", "--algorithm", algorithm,
+             "--n", "128", "--p", "0.05", "--backend", backend]
+        )
+        events = _instrumented_trace(args, backend)
+        phased = sum(e["wall_time"] for e in events if e["event"] == "phase")
+        solve = next(
+            e["wall_time"] for e in events
+            if e["event"] == "span_end" and e["span"] == "solve"
+        )
+        assert phased == pytest.approx(solve, rel=0.05)
+
+    def test_profile_and_trace_summary_share_one_table(self, capsys):
+        assert main(
+            ["profile", "--scenario", "grid-rounds", "--serial", "--no-store"]
+        ) == 0
+        profile_out = capsys.readouterr().out
+        assert main(["trace", "summary", "--n", "64"]) == 0
+        trace_out = capsys.readouterr().out
+
+        def header(text):
+            return {line for line in text.splitlines() if line.startswith("phase ")}
+
+        assert len(header(profile_out)) == 1
+        assert header(profile_out) == header(trace_out)
+
+    def test_streams_from_the_ledger_bridge_still_load(self, tmp_path, capsys):
+        """Streams captured before phase events came from profiler
+        rows: set_phase-granular names, six-digit wall times, and
+        ``bits: null`` when B was unknown."""
+        legacy = [
+            {"event": "manifest", "run_id": "r-old", "seq": 0, "t": 0.0,
+             "workload": {"n": 24}},
+            {"event": "phase", "run_id": "r-old", "seq": 1, "t": 0.01,
+             "phase": "setup", "rounds": 13, "messages": 1800,
+             "bits": 43200, "wall_time": 0.0018},
+            {"event": "phase", "run_id": "r-old", "seq": 2, "t": 0.02,
+             "phase": "phase-1", "rounds": 7, "messages": 0,
+             "bits": None, "wall_time": 0.006},
+        ]
+        path = tmp_path / "legacy.jsonl"
+        path.write_text("\n".join(json.dumps(e) for e in legacy) + "\n")
+        assert main(["trace", "summary", str(path)]) == 0
+        total = next(
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("total")
+        )
+        assert total.split()[1:4] == ["20", "1800", "43200"]
+        assert main(["trace", "diff", str(path), str(path)]) == 0
+        out = tmp_path / "phases.jsonl"
+        assert main(
+            ["trace", "export", str(path), "--kind", "phase", "--out", str(out)]
+        ) == 0
+        assert read_events(out) == legacy[1:]
+        html = tmp_path / "report.html"
+        assert main(
+            ["report", "--html", str(html), "--events", str(path)]
+        ) == 0
+        assert "phase-1" in html.read_text()
 
     def test_trace_summary_from_file(self, tmp_path, capsys):
         events, _, _ = _instrumented_pipeline(24)
