@@ -74,20 +74,16 @@ class MergeItem:
 def kruskal_filter(
     items: Sequence[MergeItem],
     base_component: Mapping[Hashable, Hashable],
-    presorted: bool = False,
 ) -> List[MergeItem]:
     """Ascending Kruskal scan: keep merges that do not close cycles.
 
     ``base_component`` maps each entity to its connectivity component under
     the already-fixed forest F'_c (entities absent from the mapping are their
-    own components). ``presorted`` skips the ascending sort when the caller
-    maintains the buffer in key order — item keys are unique within a
-    buffer, so a maintained order and a fresh stable sort are the same
-    sequence.
+    own components).
     """
     uf = UnionFind()
     alive: List[MergeItem] = []
-    for item in items if presorted else sorted(items):
+    for item in sorted(items):
         rep_a = base_component.get(item.a, item.a)
         rep_b = base_component.get(item.b, item.b)
         if uf.union(rep_a, rep_b):

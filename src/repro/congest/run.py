@@ -177,9 +177,10 @@ class CongestRun:
         (message count + per-edge counters) owned by the ledger, with
         the same end state as ``tick(traffic)``.
         """
+        edge_messages = self.edge_messages
         count = 0
         for edge in canonical_edges:
-            self.edge_messages[edge] += 1
+            edge_messages[edge] += 1
             count += 1
         self.messages += count
         if self.profiler is not None and count:

@@ -15,10 +15,11 @@ cost of the paper's Steiner-forest pipeline:
   :class:`FastCongestRun`, the flat-array ledger: it answers the
   :class:`~repro.congest.run.CongestRun` topology reads and bulk
   charges from a compiled topology (cached neighbor tuples and
-  ``repr`` keys, whole-Counter charging) and overrides the ``upcast``
-  and ``filtered_upcast`` kernels with incremental sorted-buffer
-  versions. :func:`make_ledger_run` threads the experiment engine's
-  ``--backend`` axis (including ``auto``) into the ledger-level solvers.
+  ``repr`` keys, whole-Counter charging) and overrides two kernels:
+  ``upcast`` with sorted buffers, and ``filtered_upcast`` with integer
+  key ranks, pruned alive lists and an active-node round loop.
+  :func:`make_ledger_run` threads the experiment engine's ``--backend``
+  axis (including ``auto``) into the ledger-level solvers.
 * :mod:`repro.perf.npkernels` — the optional vectorized ``numpy`` tier:
   :class:`NumpyCongestRun` (a :class:`FastCongestRun` subclass carrying
   a CSR :class:`NumpyTopology`) overrides the ledger kernels of the

@@ -12,8 +12,9 @@ communication primitives (:mod:`repro.congest.bfs`,
   ``canonical_edge``) on every ``tick(traffic)``,
 * per-call ``graph.neighbors`` re-sorting and ``repr`` key computation
   inside the primitives' round loops,
-* full re-sorts of monotonically growing buffers (the Kruskal filter of
-  the pipelined upcast re-sorted every node's buffer every round).
+* full re-sorts of monotonically growing buffers, and in the pipelined
+  upcast a per-round Kruskal filter of every node's buffer compared
+  ``Fraction``-keyed tuples.
 
 This module compiles all of that away once per execution:
 
@@ -27,8 +28,9 @@ This module compiles all of that away once per execution:
   via one dict lookup per message;
 * it replaces two kernels with incremental versions of the same
   algorithm: ``upcast`` keeps every buffer sorted by ``insort`` instead
-  of re-sorting per round, and ``filtered_upcast`` keeps presorted
-  buffers plus a per-node cache of the Kruskal-filtered list.
+  of re-sorting per round, and ``filtered_upcast`` runs on integer key
+  ranks (:func:`rank_keys`), keeps only each node's alive merges
+  (pruned for good), and visits only nodes with a merge to announce.
 
 Every execution is **identical** to the reference ledger's — same
 rounds, messages, per-edge traffic, phases, and solver output
@@ -38,12 +40,14 @@ every tier across the graph-family matrix against literal pins). The
 obviously-correct baseline and is never modified by backend selection.
 """
 
+import math
 from bisect import insort
 from collections import Counter
+from fractions import Fraction
 from typing import Any, Callable, Dict, Hashable, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro.congest.bfs import BFSTree
-from repro.congest.pipeline import MergeItem, kruskal_filter
+from repro.congest.pipeline import MergeItem
 from repro.congest.run import CongestRun, non_edge_violation, per_direction_violation
 from repro.model.graph import Edge, Node, WeightedGraph
 from repro.simbackend import (
@@ -52,6 +56,32 @@ from repro.simbackend import (
     choose_engine_name,
     validate_backend,
 )
+
+
+def rank_keys(keys: List[tuple]) -> List[int]:
+    """Dense ascending ranks of ``keys``: equal keys share a rank.
+
+    One C-level sort on exact surrogates. When every key leads with a
+    :class:`~fractions.Fraction`, ``p/q`` becomes the int
+    ``p · (L // q)`` for ``L`` the lcm of the leading denominators — the
+    same order and the same equalities, with no ``Fraction`` compares
+    (Python ints cannot overflow). Other keys sort as they are.
+    """
+    if keys and all(key and type(key[0]) is Fraction for key in keys):
+        scale = math.lcm(*{key[0].denominator for key in keys})
+        keys = [
+            (key[0].numerator * (scale // key[0].denominator),) + key[1:]
+            for key in keys
+        ]
+    ranks = [0] * len(keys)
+    rank = -1
+    last: Any = object()
+    for position in sorted(range(len(keys)), key=keys.__getitem__):
+        if keys[position] != last:
+            rank += 1
+            last = keys[position]
+        ranks[position] = rank
+    return ranks
 
 
 class CompiledTopology:
@@ -128,11 +158,12 @@ class FastCongestRun(CongestRun):
     ledger).
 
     Drop-in compatible: the topology reads and bulk charges come from
-    the :class:`CompiledTopology`, and the ``upcast`` /
-    ``filtered_upcast`` kernels are incremental; everything else is the
-    inherited reference body. ``tick`` keeps the full CONGEST validation
-    contract (same error types and messages) but resolves edge
-    membership and canonical form with one dict lookup per message.
+    the :class:`CompiledTopology`, the ``upcast`` kernel keeps sorted
+    buffers and the ``filtered_upcast`` kernel runs on ranked, pruned
+    buffers; everything else is the inherited reference body. ``tick``
+    keeps the full CONGEST validation contract (same error types and
+    messages) but resolves edge membership and canonical form with one
+    dict lookup per message.
 
     Args:
         graph: the network the algorithm runs on.
@@ -273,94 +304,120 @@ class FastCongestRun(CongestRun):
         base_component: Mapping[Hashable, Hashable],
         stop_predicate: Optional[Callable[[List[MergeItem]], bool]],
     ) -> List[MergeItem]:
-        """:func:`repro.congest.pipeline.filtered_upcast` with presorted
-        buffers and cached filtered lists.
+        """:func:`repro.congest.pipeline.filtered_upcast` on integer
+        key ranks (:func:`rank_keys`), with pruned buffers.
 
-        Buffers stay in ascending key order (``insort`` on arrival), so
-        the Kruskal filter never re-sorts; a node's filtered list is
-        cached until its buffer changes (``base_component`` is fixed),
-        and ``scan_from[v]`` skips its already-announced prefix.
+        Adding merges can only close more cycles, so a merge dead at a
+        node stays dead: each node keeps just its alive ranks, re-filtered
+        once per round in which something new arrived, and its pending
+        (alive, unannounced) ranks in descending order. A round visits,
+        in tree order, only nodes with a pending rank. The stop predicate
+        is asked once per newly finalized root rank: the finalized prefix
+        never changes (the pipelining invariant, asserted). Merges with
+        equal keys must join the same two entities (``MergeItem``
+        equality is by key), so each rank's endpoints are resolved
+        through ``base_component`` once.
         """
+        order = list(tree.parent)
+        index = {v: i for i, v in enumerate(order)}
+        root = index[tree.root]
         canon = self.compiled.canon
-        buffers: Dict[Node, List[MergeItem]] = {v: [] for v in tree.parent}
-        announced: Dict[Node, Set[tuple]] = {v: set() for v in tree.parent}
-        seen: Dict[Node, Set[tuple]] = {v: set() for v in tree.parent}
-        for v, items in local_items.items():
-            for item in items:
-                if item.key not in seen[v]:
-                    seen[v].add(item.key)
-                    buffers[v].append(item)
-        for buffer in buffers.values():
-            buffer.sort()
-        alive_cache: Dict[Node, List[MergeItem]] = {}
-        scan_from: Dict[Node, int] = {}
-
-        def get_alive(v: Node) -> List[MergeItem]:
-            cached = alive_cache.get(v)
-            if cached is None:
-                cached = alive_cache[v] = kruskal_filter(
-                    buffers[v], base_component, presorted=True
+        # hops[i]: (parent index, canonical tree edge) of non-root node i.
+        hops = [
+            None if p is None else (index[p], canon[(v, p)])
+            for v, p in tree.parent.items()
+        ]
+        flat = [(index[v], item) for v, items in local_items.items() for item in items]
+        # held[i]: rank → the first item of that rank node i received
+        # (the reference's per-node ``seen`` set, keeping the object).
+        held: List[Dict[int, MergeItem]] = [{} for _ in order]
+        ends: Dict[int, Tuple[Hashable, Hashable]] = {}
+        for (i, item), rank in zip(flat, rank_keys([m.key for _, m in flat])):
+            held[i].setdefault(rank, item)
+            if rank not in ends:
+                ends[rank] = (
+                    base_component.get(item.a, item.a),
+                    base_component.get(item.b, item.b),
                 )
-                scan_from[v] = 0
-            return cached
+        alive: Dict[int, List[int]] = {}
+        pending: Dict[int, List[int]] = {}
+        sent: Dict[int, Set[int]] = {}
+
+        def refilter(i: int, merged: List[int]) -> None:
+            # Ascending Kruskal scan. Alive ranks form a forest over the
+            # components, so a plain linked union-find is enough.
+            merged.sort()
+            link: Dict[Hashable, Hashable] = {}
+            kept = []
+            for rank in merged:
+                a, b = ends[rank]
+                while a in link:
+                    a = link[a]
+                while b in link:
+                    b = link[b]
+                if a != b:
+                    link[a] = b
+                    kept.append(rank)
+            alive[i] = kept
+            done = sent.setdefault(i, set())
+            pending[i] = [rank for rank in reversed(kept) if rank not in done]
+
+        for i, box in enumerate(held):
+            if box:
+                refilter(i, list(box))
+        active = [i for i in pending if i != root and pending[i]]
+        checked: List[int] = []
+        prefix: List[MergeItem] = []
+
+        def stops(limit: int) -> bool:
+            # Extend the checked root prefix to ``limit`` ranks.
+            root_alive = alive.get(root, [])
+            assert root_alive[: len(checked)] == checked, "finalized prefix changed"
+            for rank in root_alive[len(checked) : limit]:
+                checked.append(rank)
+                prefix.append(held[root][rank])
+                if stop_predicate(prefix[:]):
+                    return True
+            return False
 
         rounds_in_primitive = 0
         while True:
             # Root-side early stop on the finalized prefix.
-            root_alive = get_alive(tree.root)
-            finalized = max(0, rounds_in_primitive - tree.depth)
-            prefix = root_alive[: min(finalized, len(root_alive))]
-            if stop_predicate is not None:
-                for cut in range(1, len(prefix) + 1):
-                    if stop_predicate(prefix[:cut]):
-                        self.charge_rounds(
-                            tree.depth, "phase-end stop broadcast (Cor. 4.16)"
-                        )
-                        return prefix[:cut]
+            finalized = rounds_in_primitive - tree.depth
+            if stop_predicate is not None and finalized > len(checked):
+                if stops(finalized):
+                    self.charge_rounds(
+                        tree.depth, "phase-end stop broadcast (Cor. 4.16)"
+                    )
+                    return prefix
 
-            charges: List[Edge] = []
-            arrivals: List[Tuple[Node, MergeItem]] = []
-            for v in tree.parent:
-                if v == tree.root:
-                    continue
-                alive = get_alive(v)
-                candidate = None
-                index = scan_from[v]
-                alive_count = len(alive)
-                while index < alive_count:
-                    item = alive[index]
-                    if item.key not in announced[v]:
-                        candidate = item
-                        break
-                    index += 1
-                scan_from[v] = index
-                if candidate is None:
-                    continue
-                parent = tree.parent[v]
-                assert parent is not None
-                announced[v].add(candidate.key)
-                charges.append(canon[(v, parent)])
-                arrivals.append((parent, candidate))
-
-            if not arrivals:
+            if not active:
                 self.charge_rounds(
                     tree.depth, "termination detection (Lemma 4.14)"
                 )
-                final = get_alive(tree.root)
-                if stop_predicate is not None:
-                    for cut in range(1, len(final) + 1):
-                        if stop_predicate(final[:cut]):
-                            return final[:cut]
-                return final
+                final = alive.get(root, [])
+                if stop_predicate is not None and stops(len(final)):
+                    return prefix
+                return [held[root][rank] for rank in final]
 
+            charges: List[Edge] = []
+            arrivals: Dict[int, List[int]] = {}
+            for i in active:
+                rank = pending[i].pop()
+                sent[i].add(rank)
+                p, edge = hops[i]
+                charges.append(edge)
+                if rank not in held[p]:
+                    held[p][rank] = held[i][rank]
+                    arrivals.setdefault(p, []).append(rank)
             rounds_in_primitive += 1
             self.tick()
             self.charge_messages(charges)
-            for parent, item in arrivals:
-                if item.key not in seen[parent]:
-                    seen[parent].add(item.key)
-                    insort(buffers[parent], item)
-                    alive_cache.pop(parent, None)
+            for p, fresh in arrivals.items():
+                refilter(p, alive.get(p, []) + fresh)
+            active = sorted(
+                i for i in set(active).union(arrivals) if i != root and pending[i]
+            )
 
 
 def make_ledger_run(

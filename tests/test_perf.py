@@ -13,19 +13,29 @@ Three contracts are pinned here:
 3. **Ledger fast-path conformance** — the distributed and sublinear
    pipelines under a :class:`FastCongestRun` (and under ``auto``)
    reproduce the reference execution field by field across the graph
-   family matrix.
+   family matrix, and the filtered-upcast kernel matches the reference
+   body on randomized merges, next to the two facts it relies on
+   (Kruskal-filter monotonicity and the pipelining invariant).
 """
 
 import hashlib
 import json
 import random
 from contextlib import nullcontext
+from fractions import Fraction
 from pathlib import Path
 
+import networkx as nx
 import pytest
+import test_congest_primitives as primitive_cases
 
 from repro.congest.bfs import build_bfs_tree
 from repro.congest.broadcast import broadcast_items, upcast_items
+from repro.congest.pipeline import (
+    MergeItem,
+    kruskal_filter,
+    pipelined_filtered_upcast,
+)
 from repro.congest.run import CongestRun, maybe_span
 from repro.core.distributed import distributed_moat_growing
 from repro.core.moat import moat_growing
@@ -426,6 +436,157 @@ class TestLedgerFastPathConformance:
         assert compiled.degree == {0: 1, 1: 2, 2: 1}
         assert compiled.canon[(1, 0)] == (0, 1)
         assert sum(compiled.full_counter.values()) == 4
+
+
+# -- the filtered-upcast kernel (Lemma 4.14) on every tier -------------------
+
+#: The tiers whose ledgers override ``filtered_upcast`` (numpy inherits
+#: the flat-array kernel).
+FAST_TIERS = ["flatarray", pytest.param("numpy", marks=requires_numpy)]
+
+
+class TestPipelinedFilteredUpcastOnFastTiers(primitive_cases.TestPipelinedFilteredUpcast):
+    """The reference primitive's cases, on each fast tier's kernel."""
+
+    @pytest.fixture(autouse=True, params=FAST_TIERS)
+    def _tier(self, request):
+        self.tier = request.param
+
+    def _tree(self, graph):
+        run = make_ledger_run(self.tier, graph)
+        return build_bfs_tree(graph, run), run
+
+
+#: Base components of the randomized cases: t0–t2 and t3–t4 are already
+#: merged by the fixed forest F'_c; the other entities stand alone.
+RANDOM_BASE = {"t0": "c0", "t1": "c0", "t2": "c0", "t3": "c1", "t4": "c1"}
+
+
+def _random_merges(seed, nodes, str_keys):
+    """Candidate merges in both solver shapes, keyed like
+    ``core.distributed`` (a ``Fraction`` with mixed denominators, then
+    the entity pair) or like ``congest.transforms`` (``(repr(pair),)``).
+    A third of them reappear at another node with the entities swapped
+    and their own payload: equal keys, distinct objects."""
+    rng = random.Random(seed)
+    entities = [f"t{i}" for i in range(14)]
+    items = {}
+    for v in nodes:
+        for _ in range(rng.randint(0, 3)):
+            a, b = sorted(rng.sample(entities, 2))
+            if str_keys:
+                key = (repr((a, b)),)
+            else:
+                mu = Fraction(rng.randint(1, 40), rng.choice((1, 2, 3, 5, 6)))
+                key = (mu, (a, b))
+            items.setdefault(v, []).append(MergeItem(key, a, b, payload=v))
+    for item in [m for ms in list(items.values()) for m in ms][::3]:
+        w = rng.choice(nodes)
+        items.setdefault(w, []).append(
+            MergeItem(item.key, item.b, item.a, payload=("copy", w))
+        )
+    return items
+
+
+def _run_filtered_upcast(run, graph, root, items, stop_predicate):
+    tree = build_bfs_tree(graph, run, root=root)
+    accepted = pipelined_filtered_upcast(
+        tree, items, RANDOM_BASE, run, stop_predicate=stop_predicate
+    )
+    return (
+        [(m.key, m.a, m.b, m.payload) for m in accepted],
+        run.rounds,
+        run.messages,
+        dict(run.edge_messages),
+    )
+
+
+#: (graph, BFS root, item nodes): a grid with merges everywhere, where the
+#: finalized prefix grows while traffic still flows, and a long path with
+#: merges only next to its root, where the convergecast goes quiet before
+#: any prefix is finalized (the stop fires in termination detection).
+def _random_topologies():
+    grid = WeightedGraph.from_networkx(
+        nx.convert_node_labels_to_integers(nx.grid_2d_graph(6, 6))
+    )
+    path = WeightedGraph(list(range(40)), [(i, i + 1, 1) for i in range(39)])
+    return {
+        "grid": (grid, 0, grid.nodes),
+        "path": (path, 0, [0, 1, 2, 3]),
+    }
+
+
+@pytest.mark.parametrize("tier", FAST_TIERS)
+@pytest.mark.parametrize("topology", ["grid", "path"])
+@pytest.mark.parametrize("str_keys", [False, True], ids=["fraction", "str"])
+@pytest.mark.parametrize("seed", range(6))
+def test_filtered_upcast_tier_matches_reference(tier, topology, str_keys, seed):
+    """Randomized differential check of the kernel against the reference
+    body: same accepted objects in the same order, same rounds, messages
+    and per-edge traffic — with no stop, a stop at the first finalized
+    merge, and a stop at the full result."""
+    graph, root, item_nodes = _random_topologies()[topology]
+    items = _random_merges(seed, list(item_nodes), str_keys)
+    full = _run_filtered_upcast(CongestRun(graph), graph, root, items, None)
+    assert full[0], "the case must accept merges"
+    for stop_at in (None, 1, len(full[0])):
+        stop = None if stop_at is None else (lambda p, n=stop_at: len(p) == n)
+        expected = _run_filtered_upcast(CongestRun(graph), graph, root, items, stop)
+        got = _run_filtered_upcast(
+            make_ledger_run(tier, graph), graph, root, items, stop
+        )
+        assert got == expected
+
+
+def test_kruskal_filter_is_monotone():
+    """Adding merges only closes more cycles: kruskal_filter(A ∪ B) ∩ A ⊆
+    kruskal_filter(A), so an item dead at a node stays dead (the fast
+    kernel prunes it for good)."""
+    rng = random.Random(0x4A14)
+    entities = range(8)
+    for _ in range(300):
+        merges = [
+            MergeItem((key,), *rng.sample(entities, 2))
+            for key in rng.sample(range(100), rng.randint(1, 14))
+        ]
+        base = {e: e % 3 for e in entities if rng.random() < 0.3}
+        cut = rng.randint(0, len(merges))
+        part, rest = merges[:cut], merges[cut:]
+        alive_part = {m.key for m in kruskal_filter(part, base)}
+        alive_all = {m.key for m in kruskal_filter(part + rest, base)}
+        assert alive_all & {m.key for m in part} <= alive_part
+
+
+def test_reference_finalized_prefix_only_grows():
+    """The pipelining invariant, observed on the reference body: each
+    round's finalized root prefix extends the previous round's, so the
+    fast kernel asks the stop predicate once per new merge."""
+    graph, root, item_nodes = _random_topologies()["grid"]
+    for seed in range(6):
+        calls = []
+
+        def record(prefix):
+            calls.append([m.key for m in prefix])
+            return False
+
+        run = CongestRun(graph)
+        tree = build_bfs_tree(graph, run, root=root)
+        items = _random_merges(seed, list(item_nodes), str_keys=False)
+        accepted = pipelined_filtered_upcast(
+            tree, items, RANDOM_BASE, run, stop_predicate=record
+        )
+        final = [m.key for m in accepted]
+        # The reference re-asks cuts 1..L every round: a call of length 1
+        # opens a round, whose finalized prefix is its last (longest) call.
+        per_round = []
+        for call in calls:
+            if len(call) == 1:
+                per_round.append(call)
+            per_round[-1] = call
+        assert len(per_round) >= 2
+        for earlier, later in zip(per_round, per_round[1:]):
+            assert later[: len(earlier)] == earlier
+        assert all(call == final[: len(call)] for call in calls)
 
 
 #: Ledger fingerprints of the distributed and sublinear pipelines on
