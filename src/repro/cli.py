@@ -125,9 +125,10 @@ def parse_network_arg(text: str) -> Dict[str, Any]:
 def parse_backend_arg(text: str) -> Dict[str, Any]:
     """Parse a ``--backend`` value into a validated backend spec.
 
-    Accepts a ledger tier name (``flatarray``), a name with
-    ``key=value`` parameters (``auto:threshold=4``), or a full JSON spec
-    object.
+    Accepts a ledger tier name (``flatarray``) or a full JSON spec
+    object. No tier takes parameters: ``NAME:key=value`` and a non-empty
+    JSON ``params`` parse, then fail validation (``auto:threshold=4``
+    names the retired ``threshold`` key).
     """
     text = text.strip()
     if text.startswith("{"):
@@ -647,8 +648,8 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="SPEC",
         help="override the backend (ledger tier) axis (repeatable): a "
-        f"tier name ({', '.join(sorted(BACKENDS))}), "
-        "NAME:key=value,..., or a JSON spec object",
+        f"tier name ({', '.join(sorted(BACKENDS))}) or a JSON spec "
+        "object; tiers take no parameters",
     )
     verbosity = parser.add_mutually_exclusive_group()
     verbosity.add_argument(

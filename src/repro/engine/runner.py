@@ -48,9 +48,10 @@ def execute_job(job_dict: Mapping[str, Any]) -> Dict[str, Any]:
     """Run one job (worker entry point); returns its JSON-able record.
 
     The job's ``backend`` selects the *ledger engine* for run-accepting
-    solvers (:func:`repro.perf.make_ledger_run`): ``flatarray`` (or a
-    large-instance ``auto``) hands the solver a compiled
-    :class:`~repro.perf.FastCongestRun`, which changes wall time but —
+    solvers (:func:`repro.perf.make_ledger_run`): ``flatarray`` hands
+    the solver a compiled :class:`~repro.perf.FastCongestRun`, and
+    ``numpy`` (which ``auto`` resolves to when installed) its vectorized
+    subclass. That changes wall time but —
     by the fast path's conformance pin — nothing observable: weights,
     rounds, messages, per-edge traffic, and cache-relevant outputs are
     byte-identical to ``reference``. Solvers that take no ledger ignore
@@ -71,10 +72,10 @@ def execute_job(job_dict: Mapping[str, Any]) -> Dict[str, Any]:
     kwargs: Dict[str, Any] = dict(job.algo_params)
     profiler = PhaseProfiler() if job.profile else None
     ledger = None
-    # Ledger construction is inside the timed window: the flatarray/auto
-    # engines pay their topology compile there, so stored wall_time rows
-    # compare backends end-to-end (same clock placement as
-    # benchmarks/bench_e18_profile.py).
+    # Ledger construction is inside the timed window: the fast tiers
+    # (and auto, which resolves to one) pay their topology compile there,
+    # so stored wall_time rows compare backends end-to-end (same clock
+    # placement as benchmarks/bench_e18_profile.py).
     started = time.perf_counter()
     if profiler is not None:
         # Same window as wall_time: whatever no phase or span claims

@@ -35,9 +35,9 @@ methods and never look at which ledger they hold.
 The measured speedups live in ``BENCH_profile.json``
 (``benchmarks/bench_e18_profile.py``): the flatarray ledger is ≥ 2× the
 reference ledger on the full distributed pipeline at n ≥ 256.
-``backend="auto"`` switches tiers at fixed node-count thresholds and
-stays byte-identical to reference everywhere; it does not always pick
-the faster tier (see ROADMAP.md).
+``backend="auto"`` runs the numpy tier whenever the extra is installed
+(numpy is the fastest tier from a few dozen nodes up) and flatarray
+otherwise; like every tier it stays byte-identical to reference.
 """
 
 from repro.perf.fastpath import CompiledTopology, FastCongestRun, make_ledger_run

@@ -50,12 +50,7 @@ from repro.congest.bfs import BFSTree
 from repro.congest.pipeline import MergeItem
 from repro.congest.run import CongestRun, non_edge_violation, per_direction_violation
 from repro.model.graph import Edge, Node, WeightedGraph
-from repro.simbackend import (
-    AUTO_THRESHOLD_NODES,
-    NUMPY_THRESHOLD_NODES,
-    choose_engine_name,
-    validate_backend,
-)
+from repro.simbackend import numpy_tier_available, validate_backend
 
 
 def rank_keys(keys: List[tuple]) -> List[int]:
@@ -436,23 +431,18 @@ def make_ledger_run(
     * ``numpy`` → a :class:`repro.perf.npkernels.NumpyCongestRun` (only
       valid when the optional numpy extra is installed — otherwise the
       shared validation rejects the name);
-    * ``auto`` → the size heuristic
-      :func:`~repro.simbackend.choose_engine_name` (``threshold`` and
-      ``numpy_threshold`` params honored).
+    * ``auto`` → ``numpy`` when the extra is installed, ``flatarray``
+      otherwise or when numpy declines the graph's weights.
 
     Raises:
-        ValueError: on unknown backend names or parameters — validated
+        ValueError: on unknown backend names or any parameters — validated
             by :func:`~repro.simbackend.validate_backend`, the same check
             scenario specs and the CLI apply.
     """
     spec = validate_backend(backend)
     name = spec["name"]
     if name == "auto":
-        threshold = int(spec["params"].get("threshold", AUTO_THRESHOLD_NODES))
-        numpy_threshold = int(
-            spec["params"].get("numpy_threshold", NUMPY_THRESHOLD_NODES)
-        )
-        name = choose_engine_name(graph.num_nodes, threshold, numpy_threshold)
+        name = "numpy" if numpy_tier_available() else "flatarray"
     if name == "numpy":
         # Import deferred (and guaranteed to succeed): the spec passed
         # validation, so the numpy tier is listed ⇒ numpy imports.

@@ -11,9 +11,15 @@ communication primitives charge (see :func:`repro.perf.make_ledger_run`):
 * ``numpy`` — :class:`repro.perf.npkernels.NumpyCongestRun`, listed only
   when ``import numpy`` succeeds, so the reference path stays
   dependency-free;
-* ``auto`` — picks one of the above from the instance size
-  (:func:`choose_engine_name`; ``threshold`` / ``numpy_threshold``
-  tunable).
+* ``auto`` — ``numpy`` when it is listed, ``flatarray`` otherwise
+  (and ``flatarray`` when numpy declines a graph whose weights leave
+  the int64 grid). numpy is the fastest tier from a few dozen nodes
+  up, so ``auto`` does not look at instance size.
+
+No tier takes parameters. Specs stored with the retired ``auto``
+params ``threshold`` / ``numpy_threshold`` keep their cache keys and
+still load and report, but :func:`validate_backend` rejects them, so
+they no longer execute.
 
 Every tier reproduces the reference ledger exactly (rounds, messages,
 per-edge traffic); ``tests/test_perf.py`` pins this. Message-level
@@ -30,11 +36,8 @@ hashes to its own key.
 from typing import Any, Dict, Mapping, Tuple, Union
 
 __all__ = [
-    "AUTO_THRESHOLD_NODES",
     "BACKENDS",
     "DEFAULT_BACKEND",
-    "NUMPY_THRESHOLD_NODES",
-    "choose_engine_name",
     "is_default_backend",
     "normalize_backend",
     "numpy_tier_available",
@@ -47,55 +50,20 @@ DEFAULT_BACKEND: Dict[str, Any] = {"name": "reference", "params": {}}
 #: Anything :func:`normalize_backend` accepts.
 BackendLike = Union[None, str, Mapping[str, Any]]
 
-#: Node count from which ``flatarray`` beats ``reference`` end-to-end
-#: (including its topology compile); measured in
-#: ``benchmarks/bench_e18_profile.py``.
-AUTO_THRESHOLD_NODES = 64
-
-#: Node count from which the vectorized ``numpy`` tier beats
-#: ``flatarray`` end-to-end (its array compilation and per-round kernel
-#: launch overheads amortize; measured in
-#: ``benchmarks/bench_e22_numpy.py``). Only reachable when the optional
-#: numpy extra is installed — otherwise the heuristic stays two-tier.
-NUMPY_THRESHOLD_NODES = 1024
-
-#: Backend tier names → the spec params each accepts (integer-valued).
-BACKENDS: Dict[str, Tuple[str, ...]] = {
-    "reference": (),
-    "flatarray": (),
-    "auto": ("threshold", "numpy_threshold"),
-}
+#: Every ledger tier name; ``numpy`` is listed only when numpy imports.
+BACKENDS: Tuple[str, ...] = ("reference", "flatarray", "auto")
 
 try:  # The numpy tier is an optional extra: absence is not an error.
     import numpy  # noqa: F401
 except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
     pass
 else:
-    BACKENDS["numpy"] = ()
+    BACKENDS += ("numpy",)
 
 
 def numpy_tier_available() -> bool:
     """Whether the optional ``numpy`` tier is listed (numpy imports)."""
     return "numpy" in BACKENDS
-
-
-def choose_engine_name(
-    num_nodes: int,
-    threshold: int = AUTO_THRESHOLD_NODES,
-    numpy_threshold: int = NUMPY_THRESHOLD_NODES,
-) -> str:
-    """The tier the ``auto`` heuristic picks for an ``num_nodes``-node graph.
-
-    Three tiers: ``reference`` below ``threshold``, ``flatarray`` in the
-    mid-range, and ``numpy`` from ``numpy_threshold`` up when the
-    optional extra is installed (without numpy the top tier cleanly
-    degrades to ``flatarray``).
-    """
-    if num_nodes < threshold:
-        return "reference"
-    if num_nodes >= numpy_threshold and numpy_tier_available():
-        return "numpy"
-    return "flatarray"
 
 
 def normalize_backend(backend: BackendLike) -> Dict[str, Any]:
@@ -140,8 +108,8 @@ def validate_backend(backend: BackendLike) -> Dict[str, Any]:
     """The canonical spec of ``backend``, checked against :data:`BACKENDS`.
 
     Raises:
-        ValueError: on an unknown tier name, a parameter the tier does
-            not accept, or a parameter value that is not an integer.
+        ValueError: on an unknown tier name or any parameter — no tier
+            takes one.
     """
     spec = normalize_backend(backend)
     name = spec["name"]
@@ -150,17 +118,11 @@ def validate_backend(backend: BackendLike) -> Dict[str, Any]:
             f"unknown simulation backends {[name]}; "
             f"choose from {sorted(BACKENDS)}"
         )
-    for key, value in spec["params"].items():
-        if key not in BACKENDS[name]:
-            raise ValueError(
-                f"bad parameters for simulation backend {name!r}: "
-                f"unexpected parameter {key!r}"
-            )
-        try:
-            int(value)
-        except (TypeError, ValueError):
-            raise ValueError(
-                f"bad parameters for simulation backend {name!r}: "
-                f"{key}={value!r} is not an integer"
-            ) from None
+    if spec["params"]:
+        raise ValueError(
+            f"bad parameters for simulation backend {name!r}: "
+            f"{sorted(spec['params'])}; ledger tiers take no parameters "
+            "(auto's threshold and numpy_threshold are retired: auto "
+            "runs numpy when installed, flatarray otherwise)"
+        )
     return spec

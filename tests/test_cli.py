@@ -203,13 +203,18 @@ class TestBackendOptions:
             "name": "flatarray", "params": {},
         }
 
-    def test_parse_key_values(self):
-        spec = parse_backend_arg("auto:threshold=4")
-        assert spec == {"name": "auto", "params": {"threshold": 4}}
+    def test_parse_rejects_retired_key_values(self):
+        # auto's size thresholds are retired; no tier takes parameters.
+        with pytest.raises(ValueError, match="threshold and numpy_threshold"):
+            parse_backend_arg("auto:threshold=4")
 
     def test_parse_json_object(self):
+        assert parse_backend_arg('{"name": "auto"}') == {
+            "name": "auto", "params": {},
+        }
         text = '{"name": "auto", "params": {"numpy_threshold": 2}}'
-        assert parse_backend_arg(text)["params"] == {"numpy_threshold": 2}
+        with pytest.raises(ValueError, match="threshold and numpy_threshold"):
+            parse_backend_arg(text)
 
     def test_parse_rejects_bare_parameter(self):
         with pytest.raises(ValueError, match="key=value"):
@@ -253,6 +258,15 @@ class TestBackendOptions:
             )
             assert code == 2
             assert "invalid --backend" in capsys.readouterr().err
+
+    def test_retired_threshold_backend_errors(self, capsys):
+        code = main(
+            ["sweep", "--scenario", "grid-rounds", "--no-store",
+             "--serial", "--backend", "auto:threshold=4"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "invalid --backend" in err and "threshold" in err
 
     def test_unknown_backend_errors(self, capsys):
         code = main(

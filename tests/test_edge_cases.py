@@ -22,12 +22,23 @@ from repro.model import (
     SteinerForestInstance,
     WeightedGraph,
 )
+from repro.perf import make_ledger_run
 from repro.randomized import randomized_steiner_forest
+from repro.simbackend import numpy_tier_available
 
 
 @pytest.fixture
 def two_nodes():
     return WeightedGraph([0, 1], [(0, 1, 5)])
+
+
+@pytest.fixture
+def weight_spread():
+    """Four nodes whose edge weights span 1 to 3·10^6."""
+    return WeightedGraph(
+        range(4),
+        [(0, 1, 1), (1, 2, 10**6), (2, 3, 1), (0, 3, 3 * 10**6)],
+    )
 
 
 class TestDegenerateGraphs:
@@ -116,12 +127,8 @@ class TestTransformEdgeCases:
 
 
 class TestWeightExtremes:
-    def test_huge_weight_spread(self):
-        g = WeightedGraph(
-            range(4),
-            [(0, 1, 1), (1, 2, 10**6), (2, 3, 1), (0, 3, 3 * 10**6)],
-        )
-        inst = SteinerForestInstance(g, {0: "x", 2: "x"})
+    def test_huge_weight_spread(self, weight_spread):
+        inst = SteinerForestInstance(weight_spread, {0: "x", 2: "x"})
         result = distributed_moat_growing(inst)
         assert result.solution.weight == 10**6 + 1
 
@@ -135,3 +142,64 @@ class TestWeightExtremes:
         dist = distributed_moat_growing(inst)
         dist.solution.assert_feasible(inst)
         assert dist.solution.weight <= 2 * central.dual_lower_bound
+
+
+#: The degenerate instances above as (graph fixture, labels of its
+#: node list).
+DEGENERATE_CASES = {
+    "two-node-pair": ("two_nodes", lambda nodes: {0: "x", 1: "x"}),
+    "terminals-adjacent": ("path5", lambda nodes: {2: "x", 3: "x"}),
+    "empty-labels": ("grid33", lambda nodes: {}),
+    "one-component": ("grid33", lambda nodes: {v: "all" for v in nodes}),
+    "singletons": ("grid33", lambda nodes: {v: f"solo-{v}" for v in nodes}),
+    "weight-spread": ("weight_spread", lambda nodes: {0: "x", 2: "x"}),
+    "uniform-ties": (
+        "grid44", lambda nodes: {0: "a", 15: "a", 3: "b", 12: "b"}
+    ),
+}
+
+LEDGER_PIPELINES = {
+    "distributed": distributed_moat_growing,
+    "sublinear": lambda instance, run: sublinear_moat_growing(
+        instance, 0.5, run=run
+    ),
+}
+
+
+def _ledger_outcome(result):
+    return (
+        result.solution.weight,
+        sorted(result.solution.edges, key=repr),
+        result.rounds,
+        result.run.messages,
+        sorted(result.run.edge_messages.items(), key=repr),
+    )
+
+
+@pytest.mark.parametrize("case", sorted(DEGENERATE_CASES))
+@pytest.mark.parametrize("pipeline", sorted(LEDGER_PIPELINES))
+@pytest.mark.parametrize(
+    "tier",
+    [
+        "auto",
+        pytest.param(
+            "numpy",
+            marks=pytest.mark.skipif(
+                not numpy_tier_available(),
+                reason="optional numpy extra not installed",
+            ),
+        ),
+    ],
+)
+def test_fast_tier_matches_reference_on_degenerate_inputs(
+    request, tier, pipeline, case
+):
+    """``auto`` hands even two-node graphs to a fast tier, so every
+    degenerate instance must charge exactly what reference charges."""
+    fixture, labels = DEGENERATE_CASES[case]
+    graph = request.getfixturevalue(fixture)
+    inst = SteinerForestInstance(graph, labels(graph.nodes))
+    solve = LEDGER_PIPELINES[pipeline]
+    reference = solve(inst, CongestRun(graph))
+    fast = solve(inst, make_ledger_run(tier, graph))
+    assert _ledger_outcome(fast) == _ledger_outcome(reference)

@@ -428,11 +428,7 @@ class TestNetworkAxis:
 
 
 class TestBackendAxis:
-    BACKENDS = [
-        "reference",
-        "flatarray",
-        {"name": "auto", "params": {"threshold": 4, "numpy_threshold": 8}},
-    ]
+    BACKENDS = ["reference", "flatarray", "auto"]
 
     def test_default_backend_keeps_v2_identity(self):
         job = expand_jobs(tiny_spec())[0]
@@ -472,8 +468,9 @@ class TestBackendAxis:
     def test_bad_backend_params_rejected_at_construction(self):
         with pytest.raises(ValueError, match="bad parameters"):
             tiny_spec(backend={"name": "auto", "params": {"thresold": 2}})
-        with pytest.raises(ValueError, match="bad parameters"):
-            tiny_spec(backend={"name": "auto", "params": {"threshold": "x"}})
+        # auto's size thresholds are retired: no tier takes parameters.
+        with pytest.raises(ValueError, match="threshold and numpy_threshold"):
+            tiny_spec(backend={"name": "auto", "params": {"threshold": 4}})
 
     #: Cache keys of one fixed job per backend spec, as stored rows
     #: carry them: a change here would strand every cached row of that
@@ -486,20 +483,27 @@ class TestBackendAxis:
         "auto:threshold=4": "c7321dd12e1cbdb836405c40f8c105566720a03d03d62bdf7fdd74aa3a8914d3",
     }
 
-    @pytest.mark.parametrize("label", sorted(PINNED_KEYS))
-    def test_job_keys_pinned_per_tier(self, label):
+    @staticmethod
+    def _pinned_job(label, algorithm="distributed", network=None):
+        """The pinned gnp n=8 job of one ``PINNED_KEYS`` label; a label
+        ``auto:threshold=4`` carries that retired param, as stored rows
+        of it do."""
         name, _, param = label.partition(":")
         params = {"threshold": int(param.split("=")[1])} if param else {}
-        job = Job(
+        return Job(
             scenario="pinned",
             family="gnp",
             family_params={"n": 8, "p": 0.4},
             k=2,
             component_size=2,
-            algorithm="distributed",
+            algorithm=algorithm,
             backend={"name": name, "params": params},
+            network=network or {"model": "reliable", "params": {}},
         )
-        assert job.key == self.PINNED_KEYS[label]
+
+    @pytest.mark.parametrize("label", sorted(PINNED_KEYS))
+    def test_job_keys_pinned_per_tier(self, label):
+        assert self._pinned_job(label).key == self.PINNED_KEYS[label]
 
     #: (key, rounds, digest of the metrics without wall_time) per
     #: pipeline × tier × network, taken before the message-level engines
@@ -532,21 +536,13 @@ class TestBackendAxis:
                 ),
             )
             for label in sorted(PINNED_KEYS)
+            if ":" not in label
         ],
     )
     @pytest.mark.parametrize("algorithm", ["distributed", "sublinear"])
     def test_job_records_pinned(self, algorithm, label, network):
-        name, _, param = label.partition(":")
-        params = {"threshold": int(param.split("=")[1])} if param else {}
-        job = Job(
-            scenario="pinned",
-            family="gnp",
-            family_params={"n": 8, "p": 0.4},
-            k=2,
-            component_size=2,
-            algorithm=algorithm,
-            backend={"name": name, "params": params},
-            network=self.PINNED_NETWORKS[network],
+        job = self._pinned_job(
+            label, algorithm, self.PINNED_NETWORKS[network]
         )
         record = execute_job(job.to_dict())
         metrics = dict(record["metrics"])
@@ -559,13 +555,43 @@ class TestBackendAxis:
         assert metrics["rounds"] == rounds
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
-    def test_retired_sharded_rows_still_load(self, tmp_path, capsys):
+    @pytest.mark.parametrize("network", sorted(PINNED_NETWORKS))
+    @pytest.mark.parametrize("algorithm", ["distributed", "sublinear"])
+    def test_retired_threshold_job_keeps_key_and_is_rejected(
+        self, algorithm, network
+    ):
+        # Rows stored under auto's retired size thresholds keep their
+        # cache keys; executing the spec again fails validation.
+        label = "auto:threshold=4"
+        job = self._pinned_job(
+            label, algorithm, self.PINNED_NETWORKS[network]
+        )
+        key, _, _ = self.PINNED_RECORDS[f"{algorithm}-{label}-{network}"]
+        assert job.key == key
+        with pytest.raises(ValueError, match="threshold and numpy_threshold"):
+            execute_job(job.to_dict())
+
+    @pytest.mark.parametrize(
+        ("spec", "error"),
+        [
+            (
+                {"name": "sharded", "params": {"num_shards": 2}},
+                "unknown simulation backends",
+            ),
+            (
+                {"name": "auto", "params": {"threshold": 4}},
+                "threshold and numpy_threshold",
+            ),
+        ],
+        ids=["sharded", "auto-threshold"],
+    )
+    def test_retired_rows_still_load(self, tmp_path, capsys, spec, error):
         from repro.cli import main
 
-        spec = {"name": "sharded", "params": {"num_shards": 2}}
+        name = spec["name"]
         row = {
             "schema": 5,
-            "key": "sharded-row",
+            "key": "retired-row",
             "scenario": "legacy",
             "family": "gnp",
             "family_params": {"n": 8, "p": 0.4},
@@ -579,7 +605,7 @@ class TestBackendAxis:
             "network": {"model": "reliable", "params": {}},
             "network_model": "reliable",
             "backend": spec,
-            "backend_name": "sharded",
+            "backend_name": name,
             "metrics": {"n": 8, "rounds": 10, "messages": 40, "weight": 5},
         }
         path = tmp_path / "v5.jsonl"
@@ -587,15 +613,15 @@ class TestBackendAxis:
         store = ResultStore(path)
         (loaded,) = store.records()
         assert loaded["backend"] == spec
-        assert [r["key"] for r in store.select(backend="sharded")] == [
-            "sharded-row"
+        assert [r["key"] for r in store.select(backend=name)] == [
+            "retired-row"
         ]
-        assert main(["report", "--store", str(path), "--backend", "sharded"]) == 0
+        assert main(["report", "--store", str(path), "--backend", name]) == 0
         assert "legacy" in capsys.readouterr().out
-        # New specs naming the retired engine are rejected, not aliased
-        # onto the reference cache key.
-        with pytest.raises(ValueError, match="unknown simulation backends"):
-            tiny_spec(backend="sharded")
+        # New specs naming the retired engine or params are rejected,
+        # not aliased onto another tier's cache key.
+        with pytest.raises(ValueError, match=error):
+            tiny_spec(backend=spec)
 
     def test_sweep_crosses_backends_with_distinct_cached_rows(self, tmp_path):
         spec = tiny_spec(

@@ -303,11 +303,7 @@ class TestScalingGuards:
         with pytest.raises(OverflowError):
             make_ledger_run("numpy", graph)
         # auto degrades to flatarray instead of failing.
-        spec = {
-            "name": "auto",
-            "params": {"threshold": 1, "numpy_threshold": 1},
-        }
-        assert type(make_ledger_run(spec, graph)) is FastCongestRun
+        assert type(make_ledger_run("auto", graph)) is FastCongestRun
 
     def test_near_bound_weights_decline_and_fall_back(self):
         # 2^61 weights compile (below the 2^62 gate) but the BF bound

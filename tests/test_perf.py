@@ -53,12 +53,7 @@ from repro.perf import (
     PhaseProfiler,
     make_ledger_run,
 )
-from repro.simbackend import (
-    AUTO_THRESHOLD_NODES,
-    NUMPY_THRESHOLD_NODES,
-    choose_engine_name,
-    numpy_tier_available,
-)
+from repro.simbackend import numpy_tier_available
 from repro.telemetry import render_profile_report
 from repro.workloads import random_instance
 
@@ -338,14 +333,8 @@ class TestLedgerFastPathConformance:
         reference = distributed_moat_growing(
             instance, run=CongestRun(instance.graph)
         )
-        if engine == "auto":
-            # Force the flat choice at test sizes so auto's delegation
-            # is exercised, not just its small-instance identity path.
-            fast_run = make_ledger_run(
-                {"name": "auto", "params": {"threshold": 1}}, instance.graph
-            )
-        elif engine == "numpy":
-            fast_run = make_ledger_run("numpy", instance.graph)
+        if engine in ("auto", "numpy"):
+            fast_run = make_ledger_run(engine, instance.graph)
         else:
             fast_run = FastCongestRun(instance.graph)
         fast = distributed_moat_growing(instance, run=fast_run)
@@ -596,14 +585,6 @@ LEDGER_PINS = json.loads(
     (Path(__file__).parent / "fixtures" / "pinned_executions.json").read_text()
 )["ledger"]
 
-#: Every ledger tier; ``auto`` is forced to its flat-array choice.
-LEDGER_TIERS = {
-    "reference": "reference",
-    "flatarray": "flatarray",
-    "auto": {"name": "auto", "params": {"threshold": 1}},
-    "numpy": "numpy",
-}
-
 PIPELINES = {
     "distributed": distributed_moat_growing,
     "sublinear": sublinear_moat_growing,
@@ -625,7 +606,7 @@ def test_ledger_tier_matches_pin(tier, pipeline, family):
     """Every tier reproduces the pinned rounds, messages, per-edge
     traffic, phase rounds and forest on every registered family."""
     instance = _instance(family)
-    run = make_ledger_run(LEDGER_TIERS[tier], instance.graph)
+    run = make_ledger_run(tier, instance.graph)
     result = PIPELINES[pipeline](instance, run=run)
     text = json.dumps(_ledger_fingerprint(result), sort_keys=True, default=repr)
     rounds, messages, digest = LEDGER_PINS[f"{pipeline}-{family}"]
@@ -641,68 +622,29 @@ def _path_graph(num_nodes):
     )
 
 
-#: The auto heuristic's tier boundaries, one row per side of each
-#: crossover: (num_nodes, engine without the numpy extra, engine with
-#: it). The defaults are AUTO_THRESHOLD_NODES = 64 and
-#: NUMPY_THRESHOLD_NODES = 1024.
-TIER_BOUNDARY_CASES = [
-    (63, "reference", "reference"),
-    (64, "flatarray", "flatarray"),
-    (1023, "flatarray", "flatarray"),
-    (1024, "flatarray", "numpy"),
-]
+#: Node counts on both sides of the size thresholds ``auto`` once
+#: applied (64 and 1024); none of them moves its choice any more.
+AUTO_SIZES = [2, 63, 64, 1023, 1024]
 
 
-def _expected_tier(without_numpy, with_numpy):
-    return with_numpy if numpy_tier_available() else without_numpy
-
-
-def _ledger_type(engine_name):
-    if engine_name == "reference":
-        return CongestRun
-    if engine_name == "numpy":
+def _auto_ledger_type():
+    """``NumpyCongestRun`` when the extra is installed, else flatarray."""
+    if numpy_tier_available():
         from repro.perf.npkernels import NumpyCongestRun
 
         return NumpyCongestRun
-    assert engine_name == "flatarray"
     return FastCongestRun
 
 
 class TestAutoTier:
-    def test_threshold_constants_are_ordered(self):
-        assert 1 < AUTO_THRESHOLD_NODES < NUMPY_THRESHOLD_NODES
-        assert TIER_BOUNDARY_CASES[0][0] == AUTO_THRESHOLD_NODES - 1
-        assert TIER_BOUNDARY_CASES[1][0] == AUTO_THRESHOLD_NODES
-        assert TIER_BOUNDARY_CASES[2][0] == NUMPY_THRESHOLD_NODES - 1
-        assert TIER_BOUNDARY_CASES[3][0] == NUMPY_THRESHOLD_NODES
-
-    @pytest.mark.parametrize(
-        ("num_nodes", "without_numpy", "with_numpy"), TIER_BOUNDARY_CASES
-    )
-    def test_choose_engine_name_boundaries(
-        self, num_nodes, without_numpy, with_numpy
-    ):
-        expected = _expected_tier(without_numpy, with_numpy)
-        assert choose_engine_name(num_nodes) == expected
-
-    @pytest.mark.parametrize(
-        ("num_nodes", "without_numpy", "with_numpy"), TIER_BOUNDARY_CASES
-    )
-    def test_ledger_tier_boundaries(
-        self, num_nodes, without_numpy, with_numpy
-    ):
-        expected = _expected_tier(without_numpy, with_numpy)
+    @pytest.mark.parametrize("num_nodes", AUTO_SIZES)
+    def test_auto_ignores_instance_size(self, num_nodes):
         run = make_ledger_run("auto", _path_graph(num_nodes))
-        assert type(run) is _ledger_type(expected)
+        assert type(run) is _auto_ledger_type()
 
-    def test_ledger_heuristic_thresholds(self):
+    def test_ledger_tiers_by_name(self):
         small = random_instance(8, 2, random.Random(1)).graph
-        assert type(make_ledger_run("auto", small)) is CongestRun
-        assert type(
-            make_ledger_run(
-                {"name": "auto", "params": {"threshold": 4}}, small
-            )
-        ) is FastCongestRun
+        assert type(make_ledger_run("auto", small)) is _auto_ledger_type()
         assert type(make_ledger_run("flatarray", small)) is FastCongestRun
         assert type(make_ledger_run("reference", small)) is CongestRun
         with pytest.raises(ValueError):
@@ -710,32 +652,29 @@ class TestAutoTier:
         # The retired sharded engine is rejected, not aliased.
         with pytest.raises(ValueError, match="unknown simulation backends"):
             make_ledger_run("sharded", small)
-        # Bad tier parameters are rejected exactly like scenario specs
-        # reject them — one --backend spec, one validation path.
-        with pytest.raises(ValueError):
+        # No tier takes parameters — one --backend spec, one validation
+        # path, the same check scenario specs apply.
+        with pytest.raises(ValueError, match="bad parameters"):
             make_ledger_run(
                 {"name": "flatarray", "params": {"typo": 1}}, small
             )
-        with pytest.raises(ValueError, match="bad parameters"):
-            make_ledger_run(
-                {"name": "auto", "params": {"threshold": None}}, small
-            )
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"threshold": 4},
+            {"numpy_threshold": 8},
+            {"threshold": 64, "numpy_threshold": 1},
+        ],
+    )
+    def test_retired_threshold_params_rejected(self, params):
+        small = random_instance(8, 2, random.Random(1)).graph
+        with pytest.raises(ValueError, match="threshold and numpy_threshold"):
+            make_ledger_run({"name": "auto", "params": params}, small)
 
     @requires_numpy
-    def test_ledger_numpy_overrides(self):
+    def test_ledger_numpy_tier(self):
         small = random_instance(8, 2, random.Random(1)).graph
         from repro.perf.npkernels import NumpyCongestRun
 
         assert type(make_ledger_run("numpy", small)) is NumpyCongestRun
-        # Lowered thresholds route an 8-node graph to the top tier.
-        spec = {
-            "name": "auto",
-            "params": {"threshold": 4, "numpy_threshold": 8},
-        }
-        assert type(make_ledger_run(spec, small)) is NumpyCongestRun
-        # The reference floor still wins below the first threshold.
-        tiny_spec = {
-            "name": "auto",
-            "params": {"threshold": 64, "numpy_threshold": 1},
-        }
-        assert type(make_ledger_run(tiny_spec, small)) is CongestRun
