@@ -10,10 +10,11 @@ graph cut (the Alice–Bob cut of the Section 3 lower-bound gadgets).
 The ledger is also the one dispatch point between the paper's primitives and
 the machinery that runs them: the primitives read the network through it
 (``neighbors``, ``key``, ``canonical``, ``tick_from``, ``tick_all``) and run
-their bodies as its *kernels* (``bfs_tree`` … ``grow_radii``), whose defaults
-here are the reference bodies. A ledger subclass may answer the reads from a
-precomputed topology or override a kernel with an equivalent algorithm; it must
-reproduce the reference execution exactly.
+their bodies as its *kernels* (``bfs_tree`` … ``grow_radii``, and the oracle
+query ``shortest_path_diameter``), whose defaults here are the reference
+bodies. A ledger subclass may answer the reads from a precomputed topology or
+override a kernel with an equivalent algorithm; it must reproduce the
+reference execution exactly.
 """
 
 import math
@@ -252,6 +253,9 @@ class CongestRun:
     # ------------------------------------------------------------------
     # Kernels: each public primitive (named in the docstring) runs its
     # body through one of these; the defaults are the reference bodies.
+    # ``shortest_path_diameter`` is the one centralized oracle query a
+    # solver asks through the ledger (it charges nothing), so a tier can
+    # answer it from its own topology too.
     # ------------------------------------------------------------------
 
     def bfs_tree(self, root: Node) -> Any:
@@ -318,6 +322,14 @@ class CongestRun:
                 owner[x] = tree_owner[x]
                 parent[x] = tree_parent[x]
                 leftover[x] = mu - d
+
+    def shortest_path_diameter(self) -> int:
+        """The shortest-path diameter ``s`` that
+        :func:`repro.core.sublinear.sublinear_moat_growing` and
+        :func:`repro.core.pruning.fast_pruning` set σ from
+        (:meth:`WeightedGraph.shortest_path_diameter`). A centralized
+        query: it charges no rounds or messages."""
+        return self.graph.shortest_path_diameter()
 
     # ------------------------------------------------------------------
     # Inspection

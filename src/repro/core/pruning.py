@@ -152,7 +152,7 @@ def fast_pruning(
     t = max(1, instance.num_terminals)
     if sigma is None:
         with run.span("oracle/spd"):
-            s = graph.shortest_path_diameter()
+            s = run.shortest_path_diameter()
         sigma = max(1, math.isqrt(min(s * t, n)))
 
     run.set_phase("pruning")

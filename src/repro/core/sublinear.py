@@ -121,7 +121,7 @@ def sublinear_moat_growing(
     n = graph.num_nodes
     t = max(1, instance.num_terminals)
     with run.span("oracle/spd"):
-        s = graph.shortest_path_diameter()
+        s = run.shortest_path_diameter()
     if sigma is None:
         sigma = max(1, math.isqrt(min(s * t, n)))
 

@@ -17,7 +17,9 @@ numpy operations over a CSR topology:
   FastCongestRun` whose per-edge traffic accumulates in an int64 array
   (materialized to the usual Counter on first read). It overrides the
   ledger kernels ``bfs_tree``, ``bellman_ford``, ``broadcast``,
-  ``convergecast`` and ``grow_radii`` (and Bellman–Ford's Ŵ_j weights);
+  ``convergecast`` and ``grow_radii`` (and Bellman–Ford's Ŵ_j weights),
+  and the oracle query ``shortest_path_diameter`` (one blocked
+  all-sources (distance, hops) relaxation instead of n Python Dijkstras);
   everything else — topology reads, the incremental upcasts — it
   inherits from the flatarray ledger.
 * the kernels — frontier expansion by segment gather, per-target
@@ -65,6 +67,13 @@ INT64_LIMIT = 2 ** 62
 #: distance is strictly below INT64_LIMIT, so comparisons against the
 #: sentinel behave like comparisons against +infinity.
 UNREACHED = np.int64(2 ** 63 - 1)
+
+#: (source, node) pairs per block of the shortest-path diameter kernel:
+#: bounds its key array, whatever n is.
+SPD_BLOCK_PAIRS = 2 ** 16
+
+#: Relaxations per array step of that kernel: bounds its candidate arrays.
+SPD_CHUNK_RELAXATIONS = 2 ** 14
 
 
 def assert_int64_bounds(values: np.ndarray, context: str) -> None:
@@ -658,6 +667,67 @@ class NumpyCongestRun(FastCongestRun):
         args = (leftover, owner, parent, sources, tree_owner, tree_parent, tree_dist, mu)
         if not apply_radius_growth(self.npc, *args):
             super().grow_radii(*args)
+
+    # -- shortest-path diameter (the oracle query behind σ) ---------------
+
+    def shortest_path_diameter(self) -> int:
+        """:meth:`CongestRun.shortest_path_diameter` as one exact
+        all-sources Bellman–Ford, or the inherited graph method when its
+        keys could leave the int64 bound.
+
+        A path's key is ``dist·n + hops``, so each directed edge adds
+        ``w·n + 1``. Hops stay below n, so the least key to a node is the
+        least weight first and then the fewest hops among least-weight
+        paths, and ``s`` is the largest ``key % n``. The work list holds
+        (source, node) pair indices: each round expands the pairs that
+        improved in the last one. Sources go in blocks of
+        :data:`SPD_BLOCK_PAIRS` pairs and a round's relaxations in chunks
+        of at most :data:`SPD_CHUNK_RELAXATIONS`, so memory stays bounded.
+        A block converges in at most s + 1 rounds.
+        """
+        npc = self.npc
+        n = len(npc.order)
+        max_w = int(npc.eid_weight.max()) if npc.num_edges else 0
+        # A stored key is a simple path's (dist ≤ (n-1)·max_w, hops < n)
+        # and a candidate adds one edge, so this product bounds them all.
+        if (n * max_w + 1) * n >= INT64_LIMIT:
+            return super().shortest_path_diameter()
+        indptr, indices = npc.indptr, npc.indices
+        degree = np.diff(indptr)
+        step = npc.eid_weight[npc.edge_eid] * n + 1
+        per_block = max(1, SPD_BLOCK_PAIRS // n)
+        s = 0
+        for first in range(0, n, per_block):
+            sources = np.arange(first, min(n, first + per_block), dtype=np.int64)
+            keys = np.full(sources.size * n, UNREACHED, dtype=np.int64)
+            active = np.arange(sources.size, dtype=np.int64) * n + sources
+            keys[active] = 0
+            improved = np.zeros(keys.size, dtype=bool)
+            while active.size:
+                nodes = active % n
+                ends = np.cumsum(degree[nodes])
+                lo = 0
+                while lo < active.size:
+                    done = int(ends[lo - 1]) if lo else 0
+                    hi = max(lo + 1, int(np.searchsorted(
+                        ends, done + SPD_CHUNK_RELAXATIONS, side="right"
+                    )))
+                    pairs, senders = active[lo:hi], nodes[lo:hi]
+                    positions, _, targets = gather_out_edges(indptr, indices, senders)
+                    counts = degree[senders]
+                    cand = np.repeat(pairs - senders, counts) + targets
+                    cand_key = np.repeat(keys[pairs], counts) + step[positions]
+                    better = cand_key < keys[cand]
+                    cand = cand[better]
+                    np.minimum.at(keys, cand, cand_key[better])
+                    improved[cand] = True
+                    lo = hi
+                active = np.flatnonzero(improved)
+                improved[active] = False
+            reached = keys[keys != UNREACHED]
+            assert_int64_bounds(reached, "shortest_path_diameter keys")
+            s = max(s, int((reached % n).max()))
+        return s
 
 
 # ---------------------------------------------------------------------

@@ -105,3 +105,28 @@ def test_paper_code_imports_nothing_from_perf(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     found = sorted(set(_perf_imports(tree)))
     assert not found, f"{path.parent.name}/{path.name}: {found}"
+
+
+CORE_MODULES = [path for path in MODULES if path.parent.name == "core"]
+
+
+def _oracle_spd_calls(tree):
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr == "shortest_path_diameter"
+            and not (isinstance(node.value, ast.Name) and node.value.id == "run")
+        ):
+            yield node.lineno
+
+
+@pytest.mark.parametrize(
+    "path", CORE_MODULES, ids=[f"core/{p.name}" for p in CORE_MODULES]
+)
+def test_solvers_ask_the_ledger_for_s(path):
+    """``s`` comes from ``run.shortest_path_diameter()``, the ledger
+    kernel a tier may override, never straight from the graph: a solver
+    that called the graph method would bypass the fast tiers unseen."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = sorted(set(_oracle_spd_calls(tree)))
+    assert not found, f"core/{path.name}: graph s query on lines {found}"

@@ -10,7 +10,9 @@ skips cleanly when the optional numpy extra is not installed.
 """
 
 import random
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -25,7 +27,10 @@ from repro.congest.broadcast import (  # noqa: E402
     convergecast_aggregate,
 )
 from repro.congest.run import CongestRun  # noqa: E402
+from repro.core.sublinear import sublinear_moat_growing  # noqa: E402
+from repro.engine.registry import GRAPH_FAMILIES  # noqa: E402
 from repro.model.graph import WeightedGraph  # noqa: E402
+from repro.model.instance import SteinerForestInstance  # noqa: E402
 from repro.perf import make_ledger_run  # noqa: E402
 from repro.perf.fastpath import FastCongestRun  # noqa: E402
 from repro.perf.npkernels import (  # noqa: E402
@@ -475,3 +480,109 @@ class TestNumpyCongestRun:
         compiled = run.compiled
         assert compiled.graph is graph
         assert run.compiled is compiled  # built once, then cached
+
+
+# ---------------------------------------------------------------------
+# Shortest-path diameter (the oracle query behind sublinear's σ)
+# ---------------------------------------------------------------------
+
+
+def _spy_graph_spd():
+    """Patch ``WeightedGraph.shortest_path_diameter`` with a call-counting
+    wrapper around itself (the numpy kernel's decline path)."""
+    return mock.patch.object(
+        WeightedGraph,
+        "shortest_path_diameter",
+        autospec=True,
+        side_effect=WeightedGraph.shortest_path_diameter,
+    )
+
+
+class TestShortestPathDiameter:
+    @given(graphs())
+    # Near-bound weights: the keys cannot fit int64, so the kernel must
+    # decline to the graph method.
+    @example(graph=_build_graph("random", 12, 7, "duplicate-large"))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_reference(self, graph):
+        expected = graph.shortest_path_diameter()
+        declines = any(w >= 2 ** 60 for _, _, w in graph.edges())
+        with _spy_graph_spd() as spy:
+            assert NumpyCongestRun(graph).shortest_path_diameter() == expected
+        assert spy.called == declines
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("family", sorted(GRAPH_FAMILIES))
+    def test_every_family_matches_reference(self, family, seed):
+        graph = GRAPH_FAMILIES[family].build(random.Random(seed))
+        with _spy_graph_spd() as spy:
+            got = NumpyCongestRun(graph).shortest_path_diameter()
+        assert not spy.called
+        assert got == graph.shortest_path_diameter()
+
+    def test_single_node_and_two_nodes(self):
+        single = WeightedGraph(["only"], [])
+        assert NumpyCongestRun(single).shortest_path_diameter() == 0
+        assert single.shortest_path_diameter() == 0
+        pair = WeightedGraph(["a", "b"], [("a", "b", 4)])
+        assert NumpyCongestRun(pair).shortest_path_diameter() == 1
+        assert pair.shortest_path_diameter() == 1
+
+    def test_fewest_hops_among_least_weight_paths(self):
+        # 0→2 weighs 2 both directly and via 1, so 0→3 weighs 7 in two
+        # hops or three: s = 2. Keeping the most hops gives 3; keys
+        # without the +1 hop term give 0.
+        graph = WeightedGraph(
+            [0, 1, 2, 3], [(0, 1, 1), (1, 2, 1), (0, 2, 2), (2, 3, 5)]
+        )
+        assert graph.shortest_path_diameter() == 2
+        assert NumpyCongestRun(graph).shortest_path_diameter() == 2
+
+    def test_peak_memory_is_block_bounded(self):
+        # gnp n=512, average degree 12: the blocked kernel peaks near
+        # 4 MB; all sources in one block would take several times that.
+        graph = GRAPH_FAMILIES["gnp"].build(
+            random.Random(0), n=512, p=12 / 511
+        )
+        run = NumpyCongestRun(graph)
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            s = run.shortest_path_diameter()
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert s == graph.shortest_path_diameter()
+        assert peak < 6 * 2 ** 20
+
+    @pytest.mark.parametrize(
+        "family, params",
+        [
+            ("gnp", {"n": 1024, "p": 12 / 1023}),
+            ("caterpillar", {"spine": 400, "legs": 2}),
+        ],
+        ids=["gnp-1024", "caterpillar-1200"],
+    )
+    def test_numpy_spd_matches_reference_at_n_1000_plus(self, family, params):
+        graph = GRAPH_FAMILIES[family].build(random.Random(1), **params)
+        assert graph.num_nodes >= 1000
+        got = NumpyCongestRun(graph).shortest_path_diameter()
+        assert got == graph.shortest_path_diameter()
+
+    def test_numpy_sublinear_asks_the_ledger_not_the_graph(self):
+        graph = GRAPH_FAMILIES["gnp"].build(random.Random(3), n=24, p=0.2)
+        nodes = graph.nodes
+        instance = SteinerForestInstance(
+            graph, {nodes[0]: "a", nodes[-1]: "a", nodes[1]: "b", nodes[-2]: "b"}
+        )
+        reference = sublinear_moat_growing(instance, run=CongestRun(graph))
+        with _spy_graph_spd() as spy:
+            fast = sublinear_moat_growing(instance, run=NumpyCongestRun(graph))
+        assert not spy.called
+        assert fast.sigma == reference.sigma
+        assert fast.rounds == reference.rounds
+        assert fast.solution.weight == reference.solution.weight
